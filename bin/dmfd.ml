@@ -263,16 +263,7 @@ let run stdio host port workers queue_capacity cache_capacity wal_dir
           ~cache_capacity ~wal_dir ~fsync_batch ~fsync_ms ~snapshot_every
           ~plan_store ~no_plan_fetch ~upstream
       | None ->
-      let store =
-        Option.map
-          (fun ps ->
-            {
-              Service.Store.find = Durable.Plan_store.find ps;
-              add = Durable.Plan_store.add ps;
-              stats = (fun () -> Durable.Plan_store.stats_json ps);
-            })
-          plan_store
-      in
+      let store = Option.map Durable.Plan_store.to_store plan_store in
       let durable =
         Option.map
           (fun dir ->
@@ -352,28 +343,17 @@ let run stdio host port workers queue_capacity cache_capacity wal_dir
       (match durable with
       | None -> ()
       | Some (manager, recovery) ->
-        let t0 = Unix.gettimeofday () in
-        let cache = Durable.Manager.recovered_cache manager in
-        let pending = Durable.Manager.recovered_pending manager in
-        let primed = Service.Server.prime server ~cache ~pending in
-        let plans =
-          primed.Service.Server.replanned + primed.Service.Server.from_store
-        in
-        let prime_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-        Durable.Manager.note_prime manager ~ms:prime_ms
-          ~replanned:primed.Service.Server.replanned
-          ~from_store:primed.Service.Server.from_store
-          ~pending:(List.length pending);
+        let primed = Durable.Manager.prime manager server in
         Printf.eprintf
           "dmfd: recovered %d plan(s)%s and %d pending job(s) from %d \
            replayed record(s)%s%s in %.1f ms\n\
            %!"
-          plans
+          (primed.Durable.Manager.replanned + primed.Durable.Manager.from_store)
           (if plan_store <> None then
              Printf.sprintf " (%d from the plan store, %d re-planned)"
-               primed.Service.Server.from_store primed.Service.Server.replanned
+               primed.Durable.Manager.from_store primed.Durable.Manager.replanned
            else "")
-          (List.length pending) recovery.Durable.Replay.replayed
+          primed.Durable.Manager.pending recovery.Durable.Replay.replayed
           (match recovery.Durable.Replay.snapshot_seq with
           | Some s -> Printf.sprintf " on snapshot #%d" s
           | None -> "")
@@ -381,7 +361,7 @@ let run stdio host port workers queue_capacity cache_capacity wal_dir
              Printf.sprintf " (torn tail: %d line(s) dropped)"
                recovery.Durable.Replay.truncated
            else "")
-          (recovery.Durable.Replay.wall_ms +. prime_ms);
+          (recovery.Durable.Replay.wall_ms +. primed.Durable.Manager.ms);
         if recovery.Durable.Replay.gap then
           Printf.eprintf
             "dmfd: WARNING: journal had a sequence gap; snapshotted the \

@@ -331,28 +331,4 @@ let serve_channels t ic oc =
   Thread.join writer_thread
 
 let serve_tcp ?on_listen t ~host ~port =
-  let addr = Service.Net.resolve ~host ~port in
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt sock Unix.SO_REUSEADDR true;
-  Unix.bind sock addr;
-  Unix.listen sock 64;
-  (match on_listen with
-  | None -> ()
-  | Some f -> (
-    match Unix.getsockname sock with
-    | Unix.ADDR_INET (_, bound) -> f bound
-    | Unix.ADDR_UNIX _ -> f port));
-  while true do
-    match Unix.accept sock with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | fd, _peer ->
-      ignore
-        (Thread.create
-           (fun fd ->
-             let ic = Unix.in_channel_of_descr fd in
-             let oc = Unix.out_channel_of_descr fd in
-             (try serve_channels t ic oc with _ -> ());
-             (try close_out oc with _ -> ());
-             try Unix.close fd with _ -> ())
-           fd)
-  done
+  Service.Net.serve ?on_listen ~host ~port (serve_channels t)

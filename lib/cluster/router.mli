@@ -53,9 +53,8 @@ val serve_channels : t -> in_channel -> out_channel -> unit
     the responses. *)
 
 val serve_tcp : ?on_listen:(int -> unit) -> t -> host:string -> port:int -> unit
-(** Accept loop; one thread per client connection.  [on_listen]
-    receives the bound port after [listen] — with [port = 0] this is
-    the kernel-chosen ephemeral port.  Never returns normally. *)
+(** {!serve_channels} every client connection through
+    {!Service.Net.serve}.  Never returns normally. *)
 
 val stats_json : t -> Service.Jsonl.t
 (** Blocking cluster-wide stats body (the fan-out the [stats] request

@@ -42,35 +42,46 @@ let max_demand_per_pass ~algorithm ~ratio ~mixers ~storage_limit ~scheduler
 
 (* Only the final passes are instrumented: the per-pass-demand probes
    explore candidate plans that never run, so their counters would
-   pollute the aggregate. *)
+   pollute the aggregate.
+
+   q is not monotone in the demand, so the remainder pass after the
+   full [D'] passes can need more storage than they do.  A remainder
+   that overflows is split again with the largest demand that fits,
+   found by the same search that picks [D']; only when nothing smaller
+   fits does the overflowing pass stay, and [within_limit] reports
+   it. *)
 let run_general ?instr ~pass_size ~algorithm ~ratio ~demand ~mixers
     ~storage_limit ~scheduler () =
   if demand < 1 then invalid_arg "Streaming.run: demand must be >= 1";
   if mixers < 1 then invalid_arg "Streaming.run: at least one mixer";
-  let per_pass_demand, within_limit =
+  let fitting max_demand =
+    max_demand_per_pass ~algorithm ~ratio ~mixers ~storage_limit ~scheduler
+      ~max_demand
+  in
+  let per_pass_demand =
     match pass_size with
     | Some d' ->
       if d' < 2 || d' land 1 = 1 then
         invalid_arg "Streaming.run: pass size must be even and positive";
-      let probe = make_pass ~algorithm ~ratio ~mixers ~scheduler d' in
-      (d', probe.q <= storage_limit)
-    | None -> (
-      match
-        max_demand_per_pass ~algorithm ~ratio ~mixers ~storage_limit
-          ~scheduler
-          ~max_demand:(demand + (demand land 1))
-      with
-      | Some d' -> (d', true)
-      | None -> (2, false))
+      d'
+    | None -> Option.value ~default:2 (fitting (demand + (demand land 1)))
   in
-  let rec plan_passes remaining acc =
-    if remaining <= 0 then List.rev acc
+  let overflows d =
+    (make_pass ~algorithm ~ratio ~mixers ~scheduler d).q > storage_limit
+  in
+  let rec pass_demands size remaining =
+    if remaining <= 0 then []
     else
-      let this = min per_pass_demand remaining in
-      let pass = make_pass ?instr ~algorithm ~ratio ~mixers ~scheduler this in
-      plan_passes (remaining - this) (pass :: acc)
+      let this = min size remaining in
+      match if this < size && overflows this then fitting (this - 1) else None with
+      | Some smaller -> pass_demands smaller remaining
+      | None -> this :: pass_demands size (remaining - this)
   in
-  let passes = plan_passes demand [] in
+  let passes =
+    List.map
+      (make_pass ?instr ~algorithm ~ratio ~mixers ~scheduler)
+      (pass_demands per_pass_demand demand)
+  in
   {
     passes;
     per_pass_demand;
@@ -79,7 +90,7 @@ let run_general ?instr ~pass_size ~algorithm ~ratio ~demand ~mixers
     total_inputs =
       List.fold_left (fun acc p -> acc + Plan.input_total p.plan) 0 passes;
     storage_limit;
-    within_limit;
+    within_limit = List.for_all (fun p -> p.q <= storage_limit) passes;
   }
 
 let run ?instr ~algorithm ~ratio ~demand ~mixers ~storage_limit ~scheduler () =

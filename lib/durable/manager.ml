@@ -5,6 +5,8 @@ type config = {
   cache_capacity : int;
 }
 
+type primed = { replanned : int; from_store : int; pending : int; ms : float }
+
 type t = {
   config : config;
   store : Plan_store.t option;
@@ -13,18 +15,13 @@ type t = {
   wal : Wal.t;
   mirror : State.t;
   recovery : Replay.stats;
-  recovered_cache : Service.Request.spec list;
-  recovered_pending : Service.Request.spec list;
   segments_quarantined : int;
   mutable last_snapshot_seq : int;
   mutable since_snapshot : int;
   mutable snapshots_written : int;
   mutable segments_compacted : int;
   mutable snapshots_compacted : int;
-  mutable prime_ms : float;
-  mutable primed_replanned : int;
-  mutable primed_from_store : int;
-  mutable primed_pending : int;
+  mutable primed : primed;
   mutable listeners : (int -> unit) list;
   mutable closed : bool;
 }
@@ -108,20 +105,13 @@ let start ?store config =
       wal;
       mirror = state;
       recovery;
-      (* Least recently used first: inserting in this order rebuilds
-         the same recency chain. *)
-      recovered_cache = List.rev (State.cache_specs state);
-      recovered_pending = State.outstanding state;
       segments_quarantined;
       last_snapshot_seq;
       since_snapshot;
       snapshots_written = 0;
       segments_compacted = 0;
       snapshots_compacted = 0;
-      prime_ms = 0.;
-      primed_replanned = 0;
-      primed_from_store = 0;
-      primed_pending = 0;
+      primed = { replanned = 0; from_store = 0; pending = 0; ms = 0. };
       listeners = [];
       closed = false;
     },
@@ -200,16 +190,28 @@ let on_accept t spec = journal ~snapshot:false t (Record.Accepted spec)
 let on_complete t ~spec ~requests ~ok =
   journal ~snapshot:true t (Record.Completed { spec; requests; ok })
 
-let recovered_cache t = t.recovered_cache
-let recovered_pending t = t.recovered_pending
 let quarantined_segments t = t.segments_quarantined
 
-let note_prime t ~ms ~replanned ~from_store ~pending =
-  locked t (fun () ->
-      t.prime_ms <- ms;
-      t.primed_replanned <- replanned;
-      t.primed_from_store <- from_store;
-      t.primed_pending <- pending)
+(* Before any transport serves, the mirror still holds exactly what
+   recovery rebuilt.  Its cache goes in least recently used first, the
+   insertion order that reproduces the recency chain. *)
+let prime t server =
+  let t0 = Unix.gettimeofday () in
+  let cache, pending =
+    locked t (fun () ->
+        (List.rev (State.cache_specs t.mirror), State.outstanding t.mirror))
+  in
+  let p = Service.Server.prime server ~cache ~pending in
+  let primed =
+    {
+      replanned = p.Service.Server.replanned;
+      from_store = p.Service.Server.from_store;
+      pending = List.length pending;
+      ms = (Unix.gettimeofday () -. t0) *. 1000.;
+    }
+  in
+  locked t (fun () -> t.primed <- primed);
+  primed
 
 let state t = locked t (fun () -> State.copy t.mirror)
 let snapshot_now t = locked t (fun () -> snapshot_locked t)
@@ -253,13 +255,13 @@ let stats_json t =
                 ("truncated", Service.Jsonl.Int r.Replay.truncated);
                 ("gap", Service.Jsonl.Bool r.Replay.gap);
                 ("wall_ms", Service.Jsonl.Float r.Replay.wall_ms);
-                ("prime_ms", Service.Jsonl.Float t.prime_ms);
+                ("prime_ms", Service.Jsonl.Float t.primed.ms);
                 ( "primed_plans",
-                  Service.Jsonl.Int (t.primed_replanned + t.primed_from_store)
+                  Service.Jsonl.Int (t.primed.replanned + t.primed.from_store)
                 );
-                ("primed_replanned", Service.Jsonl.Int t.primed_replanned);
-                ("primed_from_store", Service.Jsonl.Int t.primed_from_store);
-                ("primed_pending", Service.Jsonl.Int t.primed_pending);
+                ("primed_replanned", Service.Jsonl.Int t.primed.replanned);
+                ("primed_from_store", Service.Jsonl.Int t.primed.from_store);
+                ("primed_pending", Service.Jsonl.Int t.primed.pending);
               ] );
         ])
 

@@ -3,10 +3,10 @@
     One {!t} owns the journal, a live mirror of the durable {!State},
     and the snapshot/compaction schedule.  {!start} recovers whatever a
     previous process left in the directory and then opens a fresh
-    journal segment after it; the caller re-derives the in-memory
-    plans from {!recovered_cache}/{!recovered_pending} (see
-    {!Service.Server.prime}) and wires {!on_accept}/{!on_complete} into
-    the server's hooks.
+    journal segment after it; the caller wires {!on_accept}/
+    {!on_complete} into a server's hooks and hands the server to
+    {!prime}, which rebuilds the recovered plans and pending requests
+    in it.
 
     All operations are mutex-guarded and safe across domains and
     threads.  {!on_complete} must be invoked {e before} the job's
@@ -52,24 +52,27 @@ val on_complete :
 (** Journal a resolved planning job (the server's completion hook,
     called before the waiters are released). *)
 
-val recovered_cache : t -> Service.Request.spec list
-(** Cache contents recovery rebuilt, {e least} recently used first —
-    the insertion order that reproduces the LRU recency. *)
-
-val recovered_pending : t -> Service.Request.spec list
-(** Accepted-but-unanswered specs recovery found, admission order.
-    Resubmitting them must bypass {!on_accept} — their accepted
-    records are already in the journal. *)
-
 val quarantined_segments : t -> int
 (** Segments this boot renamed aside because a sequence gap made them
     unreplayable; 0 on a clean recovery. *)
 
-val note_prime :
-  t -> ms:float -> replanned:int -> from_store:int -> pending:int -> unit
-(** Record what rebuilding the recovered state cost, split by how each
-    plan came back ({!Service.Server.primed}), for {!stats_json}'s
-    [recovery] object ([primed_plans] stays the total). *)
+type primed = {
+  replanned : int;  (** Recovered plans re-planned from scratch. *)
+  from_store : int;  (** Recovered plans decoded from the plan store. *)
+  pending : int;  (** Accepted-but-unanswered requests resubmitted. *)
+  ms : float;  (** Wall time of the whole step. *)
+}
+
+val prime : t -> Service.Server.t -> primed
+(** Rebuild in [server] the state recovery found: the cached specs,
+    least recently used first so the recency chain comes back, through
+    {!Service.Server.prime} (plan store first, re-planning otherwise),
+    then the pending requests, resubmitted without passing
+    {!on_accept} again — their accepted records are already in the
+    journal.  The result also becomes {!stats_json}'s [recovery]
+    figures ([prime_ms], [primed_plans], [primed_replanned],
+    [primed_from_store], [primed_pending]).  Call once, after {!start}
+    and before any transport serves [server]. *)
 
 val state : t -> State.t
 (** A copy of the live durable-state mirror (tests compare it against

@@ -482,3 +482,10 @@ let stats_json t =
     match s.max_bytes with
     | None -> []
     | Some m -> [ ("max_bytes", Service.Jsonl.Int m) ])
+
+let to_store t =
+  {
+    Service.Store.find = find t;
+    add = add t;
+    stats = (fun () -> stats_json t);
+  }

@@ -79,6 +79,11 @@ val stats : t -> stats
 
 val stats_json : t -> Service.Jsonl.t
 
+val to_store : t -> Service.Store.t
+(** The store as the server's second plan-cache tier: {!find}, {!add}
+    and {!stats_json} behind the {!Service.Store.t} record that
+    [lib/service] consults without naming this library. *)
+
 (** {2 Codec internals, exposed for the golden-vector and corruption
     tests} *)
 

@@ -1,37 +1,31 @@
 type t = {
-  cache_capacity : int;
-  mutable cache : Service.Request.spec list;  (* most recently used first *)
+  cache : Service.Request.spec Service.Cache.t;  (* keyed by cache_key *)
   mutable outstanding : Service.Request.spec list;  (* admission order *)
-  mutable evictions : int;
 }
 
 let create ~cache_capacity =
   if cache_capacity < 0 then invalid_arg "State.create: negative capacity";
-  { cache_capacity; cache = []; outstanding = []; evictions = 0 }
+  { cache = Service.Cache.create ~capacity:cache_capacity; outstanding = [] }
 
-let copy t = { t with cache_capacity = t.cache_capacity }
+let touch t spec =
+  Service.Cache.add t.cache (Service.Request.cache_key spec) spec
 
+(* Inserting least recently used first rebuilds the recency chain; past
+   the capacity the LRU end is evicted, exactly as it would be live. *)
 let restore ~cache_capacity ~cache_mru ~outstanding =
   let t = create ~cache_capacity in
-  t.cache <- List.filteri (fun i _ -> i < cache_capacity) cache_mru;
+  List.iter (touch t) (List.rev cache_mru);
   t.outstanding <- outstanding;
   t
 
-let touch t spec =
-  if t.cache_capacity > 0 then begin
-    let key = Service.Request.cache_key spec in
-    let rest =
-      List.filter (fun s -> Service.Request.cache_key s <> key) t.cache
-    in
-    let cache = spec :: rest in
-    (* Mirror Cache.add: evict from the LRU end while over capacity. *)
-    let size = List.length cache in
-    if size > t.cache_capacity then begin
-      t.evictions <- t.evictions + (size - t.cache_capacity);
-      t.cache <- List.filteri (fun i _ -> i < t.cache_capacity) cache
-    end
-    else t.cache <- cache
-  end
+let cache_specs t = Service.Cache.values t.cache
+let cache_keys t = Service.Cache.keys t.cache
+let outstanding t = t.outstanding
+
+let copy t =
+  restore
+    ~cache_capacity:(Service.Cache.stats t.cache).Service.Cache.capacity
+    ~cache_mru:(cache_specs t) ~outstanding:t.outstanding
 
 (* Discharge [requests] outstanding entries coalesced under [key],
    oldest first.  Entries that are not found are ignored — a journal
@@ -54,11 +48,6 @@ let apply t = function
   | Record.Completed { spec; requests; ok } ->
     discharge t (Service.Request.coalesce_key spec) requests;
     if ok then touch t spec
-
-let cache_specs t = t.cache
-let cache_keys t = List.map Service.Request.cache_key t.cache
-let outstanding t = t.outstanding
-let evictions t = t.evictions
 
 let equal a b =
   cache_keys a = cache_keys b

@@ -4,18 +4,23 @@
 
     Only request {e specs} are stored — never plans.  Planning is
     deterministic (every algorithm dispatches through the
-    {!Mdst.Scheduler} registry), so recovery re-derives the plans by
-    re-running {!Service.Prep.run}; the journal and snapshots stay
-    small and version-independent of the plan representation.
+    {!Mdst.Scheduler} registry), so recovery re-derives the plans from
+    the plan store or by re-running {!Service.Prep.run}; the journal
+    and snapshots stay small and version-independent of the plan
+    representation.
+
+    The recency model is itself a {!Service.Cache} — of specs, keyed
+    by {!Service.Request.cache_key} — so it evicts by the very code the
+    server's plan cache runs, not by a re-implementation of it.
 
     Applying the record stream in journal order reproduces the server's
     state exactly:
     - [Accepted spec] appends to the outstanding list (admission
       order);
     - [Completed _] discharges [requests] outstanding entries with the
-      batch's coalesce key (oldest first) and, when [ok], touches the
-      batch's cache key to most-recently-used — inserting it and
-      evicting past capacity if it was absent.
+      batch's coalesce key (oldest first) and, when [ok], adds the
+      batch's spec as most-recently-used ({!Service.Cache.add}: a
+      cached key moves to the front, a new one may evict the LRU end).
 
     The structure is not thread-safe; {!Manager} serializes access. *)
 
@@ -33,9 +38,9 @@ val restore :
   outstanding:Service.Request.spec list ->
   t
 (** Rebuild a state from serialized contents ({!Snapshot.load}).
-    [cache_mru] is most-recently-used first; entries beyond the
-    capacity are dropped from the LRU end, so a daemon restarted with a
-    smaller cache keeps the hottest plans. *)
+    [cache_mru] is most-recently-used first and is inserted from its
+    LRU end; entries beyond the capacity are evicted from that end, so
+    a daemon restarted with a smaller cache keeps the hottest plans. *)
 
 val apply : t -> Record.kind -> unit
 
@@ -48,9 +53,6 @@ val cache_keys : t -> string list
 
 val outstanding : t -> Service.Request.spec list
 (** Accepted-but-unanswered request specs, admission order. *)
-
-val evictions : t -> int
-(** Cache evictions the model performed (monotone). *)
 
 val equal : t -> t -> bool
 (** Same cache keys in the same recency order, and the same outstanding

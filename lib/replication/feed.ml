@@ -296,31 +296,5 @@ let stats_json t =
     ]
 
 let serve_tcp ?on_listen t ~host ~port =
-  let addr = Service.Net.resolve ~host ~port in
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt sock Unix.SO_REUSEADDR true;
-  Unix.bind sock addr;
-  Unix.listen sock 16;
-  (match on_listen with
-  | None -> ()
-  | Some f -> (
-    match Unix.getsockname sock with
-    | Unix.ADDR_INET (_, bound) -> f bound
-    | Unix.ADDR_UNIX _ -> f port));
-  while not (stopped t) do
-    (* Same discipline as the service listener: a signal interrupts the
-       blocking accept; keep serving until told to stop. *)
-    match Unix.accept sock with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | fd, _peer ->
-      ignore
-        (Thread.create
-           (fun fd ->
-             let ic = Unix.in_channel_of_descr fd in
-             let oc = Unix.out_channel_of_descr fd in
-             (try handle t ic oc with _ -> ());
-             (try close_out oc with _ -> ());
-             try Unix.close fd with _ -> ())
-           fd)
-  done;
-  try Unix.close sock with Unix.Unix_error _ -> ()
+  Service.Net.serve ?on_listen ~stop:(fun () -> stopped t) ~host ~port
+    (handle t)

@@ -48,6 +48,5 @@ val stats_json : t -> Service.Jsonl.t
     subscriber count, streamed/resume/reset/plan counters. *)
 
 val serve_tcp : ?on_listen:(int -> unit) -> t -> host:string -> port:int -> unit
-(** Bind, listen and serve sessions, one thread per connection, until
-    {!stop}.  [port = 0] binds an ephemeral port reported through
-    [on_listen], same convention as {!Service.Server.serve_tcp}. *)
+(** Serve one session per connection through {!Service.Net.serve}
+    until {!stop}. *)

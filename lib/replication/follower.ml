@@ -1,13 +1,14 @@
-(* A streaming follower: mirror a primary's journal, keep a warm
-   replica of its durable state, serve reads, and stand by to become
+(* A streaming follower: mirror a primary's journal, keep a warm plan
+   cache that tracks the primary's, serve reads, and stand by to become
    the primary.
 
    The engine thread owns the feed connection and everything the
-   stream mutates: the {!Sink} mirror, the durable {!Durable.State}
-   model, the apply cursor.  Serving threads only read (through the
-   thread-safe {!Service.Cache} and counter snapshots under [t.m]), so
-   the apply path takes the mutex for a handful of integer updates per
-   record and nothing else.
+   stream mutates: the {!Sink} mirror and the apply cursor.  Serving
+   threads only read (through the thread-safe {!Service.Cache} and
+   counter snapshots under [t.m]), so the apply path takes the mutex
+   for a handful of integer updates per record and nothing else.  No
+   durable-state model is kept while following: the mirrored journal
+   is that state, and promotion rebuilds it by ordinary recovery.
 
    Exactly-once apply holds by construction: every record line's CRC
    is re-verified on arrival ({!Durable.Record.decode}), sequence
@@ -70,7 +71,6 @@ type t = {
   sink : Sink.t;
   started_at : float;
   (* Engine-private (single-threaded): *)
-  mutable mirror : State.t;
   mutable expected : int;
   mutable force_reset : bool;
   mutable plan_io : (Unix.file_descr * in_channel * out_channel) option;
@@ -174,48 +174,50 @@ let fetch_plan t spec =
       close_plan_io t;
       None)
 
-(* Rebuild the prepared value for a spec the primary's cache holds:
-   plan store, then the feed's plan-fetch session, then deterministic
-   re-planning — all three produce the same value (the codec and
-   differential tests hold them to it), so the cache serves identical
-   bytes whichever path primed it. *)
-let obtain t spec =
-  let store_find () =
-    match t.config.store with None -> None | Some ps -> Plan_store.find ps spec
+(* The plan tier under the serving cache: the local plan store, then
+   the primary's plan-fetch session (written through to the local
+   store); {!Service.Store.obtain} re-plans when both miss.  All three
+   produce the same value (the codec and differential tests hold them
+   to it), so the cache serves identical bytes whichever tier primed
+   it. *)
+let plan_tier t =
+  let local = Option.map Plan_store.to_store t.config.store in
+  let add spec prepared =
+    Option.iter (fun s -> s.Service.Store.add spec prepared) local
   in
-  match store_find () with
-  | Some prepared ->
-    locked t (fun () -> t.primed_from_store <- t.primed_from_store + 1);
-    Some prepared
-  | None -> (
-    match if t.config.fetch_plans then fetch_plan t spec else None with
+  let find spec =
+    match Option.bind local (fun s -> s.Service.Store.find spec) with
     | Some prepared ->
-      (match t.config.store with
-      | Some ps -> Plan_store.add ps spec prepared
-      | None -> ());
-      locked t (fun () -> t.primed_fetched <- t.primed_fetched + 1);
+      locked t (fun () -> t.primed_from_store <- t.primed_from_store + 1);
       Some prepared
-    | None -> (
-      match Service.Validate.protect (fun () -> Prep.run spec) with
-      | Ok prepared ->
-        (match t.config.store with
-        | Some ps -> Plan_store.add ps spec prepared
-        | None -> ());
-        locked t (fun () -> t.primed_replanned <- t.primed_replanned + 1);
-        Some prepared
-      | Error _ -> None))
+    | None when t.config.fetch_plans ->
+      Option.map
+        (fun prepared ->
+          add spec prepared;
+          locked t (fun () -> t.primed_fetched <- t.primed_fetched + 1);
+          prepared)
+        (fetch_plan t spec)
+    | None -> None
+  in
+  let stats () =
+    match local with Some s -> s.Service.Store.stats () | None -> Jsonl.Null
+  in
+  { Service.Store.find; add; stats }
 
-(* Keep the serving cache tracking the durable model: re-adding an
-   already-cached value refreshes its recency exactly as the model's
-   touch does, so the LRU eviction order stays aligned. *)
+(* Keep the serving cache tracking the primary's: re-adding an
+   already-cached value refreshes its recency exactly as the primary's
+   own hit does, so the LRU eviction order stays aligned. *)
 let ensure_cached t spec =
   let key = Request.cache_key spec in
   match Cache.peek t.cache key with
   | Some prepared -> Cache.add t.cache key prepared
   | None -> (
-    match obtain t spec with
-    | Some prepared -> Cache.add t.cache key prepared
-    | None -> ())
+    match Service.Store.obtain (Some (plan_tier t)) spec with
+    | Ok (prepared, tier) ->
+      if tier = Service.Store.Planned then
+        locked t (fun () -> t.primed_replanned <- t.primed_replanned + 1);
+      Cache.add t.cache key prepared
+    | Error _ -> ())
 
 (* Least recently used first, reproducing the recency chain — the same
    order {!Service.Server.prime} consumes. *)
@@ -237,7 +239,6 @@ let handle_frame t = function
     match Snapshot.load ~cache_capacity:t.config.cache_capacity path with
     | Error msg -> raise (Protocol ("bad snapshot from primary: " ^ msg))
     | Ok state ->
-      t.mirror <- state;
       t.expected <- seq + 1;
       locked t (fun () ->
           t.last_applied <- seq;
@@ -269,7 +270,6 @@ let handle_record t line =
     end;
     Sink.append_line t.sink line;
     if seq = t.expected then begin
-      State.apply t.mirror kind;
       t.expected <- seq + 1;
       locked t (fun () ->
           t.last_applied <- seq;
@@ -332,7 +332,6 @@ let session t =
              snapshot and segments about to arrive. *)
           Sink.reset t.sink;
           t.force_reset <- false;
-          t.mirror <- State.create ~cache_capacity:t.config.cache_capacity;
           t.expected <- 1;
           Cache.clear t.cache;
           locked t (fun () ->
@@ -382,19 +381,19 @@ let engine t =
 let create config =
   let sink = Sink.create ~dir:config.dir in
   (* A restarted follower boots exactly like a crashed primary: replay
-     the local mirror to find both the durable state and where the
+     the local mirror to find both the cache to warm and where the
      resume cursor stands. *)
   let state, recovery =
     Replay.recover ~dir:config.dir ~cache_capacity:config.cache_capacity
   in
   List.iter repair_torn recovery.Replay.repairs;
-  let mirror, expected =
+  let expected =
     if recovery.Replay.gap then begin
       (* A mirror with a hole cannot be extended; start over. *)
       Sink.reset sink;
-      (State.create ~cache_capacity:config.cache_capacity, 1)
+      1
     end
-    else (state, recovery.Replay.next_seq)
+    else recovery.Replay.next_seq
   in
   let t =
     {
@@ -404,7 +403,6 @@ let create config =
       cache = Cache.create ~capacity:config.cache_capacity;
       sink;
       started_at = Unix.gettimeofday ();
-      mirror;
       expected;
       force_reset = false;
       plan_io = None;
@@ -429,7 +427,7 @@ let create config =
       primed_replanned = 0;
     }
   in
-  prime_from_state t t.mirror;
+  if not recovery.Replay.gap then prime_from_state t state;
   t
 
 (* Claim the engine slot under [m] but spawn outside it, so no code
@@ -573,16 +571,6 @@ let do_promote t =
           cache_capacity = t.config.cache_capacity;
         }
     in
-    let store_iface =
-      Option.map
-        (fun ps ->
-          {
-            Service.Store.find = Plan_store.find ps;
-            add = Plan_store.add ps;
-            stats = (fun () -> Plan_store.stats_json ps);
-          })
-        t.config.store
-    in
     let rec_promoted = ref None in
     let server =
       Server.create ?workers:t.config.workers
@@ -596,18 +584,10 @@ let do_promote t =
           match !rec_promoted with
           | Some p -> promoted_repl_json t p
           | None -> follower_repl_json t)
-        ?store:store_iface ()
+        ?store:(Option.map Plan_store.to_store t.config.store)
+        ()
     in
-    let t0 = Unix.gettimeofday () in
-    let primed =
-      Server.prime server
-        ~cache:(Manager.recovered_cache manager)
-        ~pending:(Manager.recovered_pending manager)
-    in
-    Manager.note_prime manager
-      ~ms:((Unix.gettimeofday () -. t0) *. 1000.)
-      ~replanned:primed.Server.replanned ~from_store:primed.Server.from_store
-      ~pending:(List.length (Manager.recovered_pending manager));
+    ignore (Manager.prime manager server);
     let p =
       { manager; server; recovery; at_seq = Manager.last_seq manager }
     in
@@ -765,32 +745,9 @@ let serve_channels t ic oc =
   loop ()
 
 let serve_tcp ?on_listen t ~host ~port =
-  let addr = Net.resolve ~host ~port in
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt sock Unix.SO_REUSEADDR true;
-  Unix.bind sock addr;
-  Unix.listen sock 64;
-  (match on_listen with
-  | None -> ()
-  | Some f -> (
-    match Unix.getsockname sock with
-    | Unix.ADDR_INET (_, bound) -> f bound
-    | Unix.ADDR_UNIX _ -> f port));
-  while not (locked t (fun () -> t.stop)) do
-    match Unix.accept sock with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | fd, _peer ->
-      ignore
-        (Thread.create
-           (fun fd ->
-             let ic = Unix.in_channel_of_descr fd in
-             let oc = Unix.out_channel_of_descr fd in
-             (try serve_channels t ic oc with _ -> ());
-             (try close_out oc with _ -> ());
-             try Unix.close fd with _ -> ())
-           fd)
-  done;
-  try Unix.close sock with Unix.Unix_error _ -> ()
+  Net.serve ?on_listen
+    ~stop:(fun () -> locked t (fun () -> t.stop))
+    ~host ~port (serve_channels t)
 
 let close t =
   let eng, promoted =

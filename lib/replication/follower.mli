@@ -2,11 +2,14 @@
 
     The follower subscribes to a primary's replication feed
     ({!Feed}), mirrors its WAL byte-for-byte into a local directory
-    ({!Sink}), CRC-verifies and applies every record to a live
-    {!Durable.State} model, and keeps a warm plan cache primed from
-    the plan store, the feed's plan-fetch session, or deterministic
-    re-planning — whichever answers first; all three produce the same
-    value.
+    ({!Sink}), CRC-verifies every record, and applies each completed
+    job to its serving cache, which tracks the primary's LRU.  A plan
+    the cache lacks comes from {!Service.Store.obtain} over a tier
+    composed of the local plan store and the feed's plan-fetch
+    session, with deterministic re-planning as the fallback; all three
+    produce the same value.  No durable-state model is kept while
+    following: the mirrored journal is that state, and promotion
+    rebuilds it.
 
     While following, it serves read-only traffic: [ping], [stats]
     (with a [replication] object carrying role and lag), [route]
@@ -15,9 +18,10 @@
     request — or {!promote}, which [dmfd] wires to [SIGUSR1] — turns
     it into a full primary: the feed stops, the mirrored directory
     goes through ordinary {!Durable.Manager.start} crash recovery
-    (so the promoted node's stats show [replayed > 0]), and a
-    complete {!Service.Server} takes over, journaling new appends
-    where the old primary left off.
+    (so the promoted node's stats show [replayed > 0]), a complete
+    {!Service.Server} is primed by {!Durable.Manager.prime}, and it
+    takes over, journaling new appends where the old primary left
+    off.
 
     Exactly-once apply holds because record CRCs are re-verified on
     arrival, sequence numbers are strictly monotonic, and the apply
@@ -69,8 +73,8 @@ val serve_channels : t -> in_channel -> out_channel -> unit
     server's full service. *)
 
 val serve_tcp : ?on_listen:(int -> unit) -> t -> host:string -> port:int -> unit
-(** Bind and serve connections until {!close}; same [port = 0] /
-    [on_listen] convention as {!Service.Server.serve_tcp}. *)
+(** {!serve_channels} every connection through {!Service.Net.serve}
+    until {!close}. *)
 
 val stats : t -> Service.Response.stats
 (** The follower-shaped stats record served to [stats] requests while
@@ -84,7 +88,7 @@ val repl_json : t -> Service.Jsonl.t
 val role : t -> [ `Following | `Promoted ]
 
 val last_applied : t -> int
-(** Highest sequence number applied to the live model. *)
+(** Highest sequence number applied. *)
 
 val connected : t -> bool
 

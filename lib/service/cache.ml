@@ -101,13 +101,16 @@ let peek t key =
   locked t (fun () ->
       Option.map (fun n -> n.value) (Hashtbl.find_opt t.table key))
 
-let keys t =
+let bindings t =
   locked t (fun () ->
       let rec walk acc = function
         | None -> List.rev acc
-        | Some n -> walk (n.key :: acc) n.next
+        | Some n -> walk ((n.key, n.value) :: acc) n.next
       in
       walk [] t.head)
+
+let keys t = List.map fst (bindings t)
+let values t = List.map snd (bindings t)
 
 let stats (t : 'v t) =
   locked t (fun () ->

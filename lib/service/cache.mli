@@ -4,8 +4,10 @@
     unbounded reset-on-overflow tables keyed by ratio; a long-running
     server needs real eviction and observable counters instead.  Keys
     are the canonical request strings of {!Request.cache_key}; values
-    are whatever the worker wants to reuse (prepared plans).  All
-    operations are mutex-guarded and safe across domains. *)
+    are whatever the owner reuses (prepared plans in the server, specs
+    in the durable recency model, which evicts through this same
+    code).  All operations are mutex-guarded and safe across
+    domains. *)
 
 type 'v t
 
@@ -34,7 +36,10 @@ val peek : 'v t -> string -> 'v option
 (** Lookup with no effect on counters or recency (for tests). *)
 
 val keys : 'v t -> string list
-(** Live keys, most recently used first (for tests). *)
+(** Live keys, most recently used first. *)
+
+val values : 'v t -> 'v list
+(** Live values, most recently used first (the order of {!keys}). *)
 
 val stats : 'v t -> stats
 

@@ -1,6 +1,7 @@
-(* Shared TCP name resolution for every networked front end.
+(* Shared TCP plumbing for every networked front end: name resolution
+   and the accept loop.
 
-   One helper, used by the dmfstream client, the dmfd TCP listener and
+   One resolver, used by the dmfstream client, the dmfd TCP listener and
    the dmfrouter shard pool, so they all accept exactly the same host
    syntax and fail with the same message.  Resolution goes through
    [Unix.getaddrinfo]: unlike the deprecated [Unix.gethostbyname] it is
@@ -41,3 +42,34 @@ let connect ~host ~port =
   | exception e ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise e
+
+(* The one accept loop behind every TCP listener (dmfd, dmfrouter, the
+   replication feed and the follower). *)
+let serve ?on_listen ?(stop = fun () -> false) ~host ~port handle =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt sock Unix.SO_REUSEADDR true;
+  Unix.bind sock (resolve ~host ~port);
+  Unix.listen sock 64;
+  (match on_listen with
+  | None -> ()
+  | Some f -> (
+    (* With port 0 the kernel picked the port; read it back. *)
+    match Unix.getsockname sock with
+    | Unix.ADDR_INET (_, bound) -> f bound
+    | Unix.ADDR_UNIX _ -> f port));
+  let connection fd =
+    let oc = Unix.out_channel_of_descr fd in
+    (try handle (Unix.in_channel_of_descr fd) oc with _ -> ());
+    (* Both channels share [fd]; closing [oc] flushes and closes it.
+       That is the only close: once it returns, the kernel may hand the
+       same number to the next accepted connection. *)
+    close_out_noerr oc
+  in
+  while not (stop ()) do
+    (* A signal (e.g. SIGTERM starting the clean-shutdown thread)
+       interrupts the blocking accept; keep serving until [stop]. *)
+    match Unix.accept sock with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | fd, _peer -> ignore (Thread.create connection fd)
+  done;
+  try Unix.close sock with Unix.Unix_error _ -> ()

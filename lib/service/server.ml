@@ -28,40 +28,33 @@ let with_counters c f =
    every closure passed in is a handful of integer field updates"]
 
 (* The planning handler every pool worker runs: plan cache first, then
-   the on-disk plan store, the engine only when both miss.  The spec
-   demand is already the coalesced sum.  A store hit enters the LRU
-   like a fresh plan but reports [cache_hit = false] — the response
-   surface is unchanged by the store, only the stats object knows.
-   [on_complete] (the WAL's completion hook) fires for every job — hits
-   refresh LRU recency, which recovery must replay — and strictly
-   before [Queue.fulfil] releases the waiters, so with a strict fsync
-   policy no client ever observes a response that is not yet durable. *)
+   {!Store.obtain} (the on-disk plan store, the engine when that
+   misses).  The spec demand is already the coalesced sum.  A store hit
+   enters the LRU like a fresh plan but reports [cache_hit = false] —
+   the response surface is unchanged by the store, only the stats
+   object knows.  [on_complete] (the WAL's completion hook) fires for
+   every job — hits refresh LRU recency, which recovery must replay —
+   and strictly before [Queue.fulfil] releases the waiters, so with a
+   strict fsync policy no client ever observes a response that is not
+   yet durable. *)
 let run_job cache counters on_complete store job =
   let spec = Queue.job_spec job in
   let coalesced = Queue.job_requests job in
   let batch_demand = spec.Request.demand in
   let key = Request.cache_key spec in
-  let store_find () =
-    match store with None -> None | Some s -> s.Store.find spec
-  in
   let result =
     match Cache.find cache key with
     | Some prepared ->
       Ok { Queue.prepared; batch_demand; coalesced; cache_hit = true }
-    | None -> (
-      match store_find () with
-      | Some prepared ->
-        Cache.add cache key prepared;
-        with_counters counters (fun c -> c.store_hits <- c.store_hits + 1);
-        Ok { Queue.prepared; batch_demand; coalesced; cache_hit = false }
-      | None -> (
-        match Validate.protect (fun () -> Prep.run spec) with
-        | Ok prepared ->
-          Cache.add cache key prepared;
-          (match store with None -> () | Some s -> s.Store.add spec prepared);
-          with_counters counters (fun c -> c.plans_built <- c.plans_built + 1);
-          Ok { Queue.prepared; batch_demand; coalesced; cache_hit = false }
-        | Error msg -> Error msg))
+    | None ->
+      Store.obtain store spec
+      |> Result.map (fun (prepared, tier) ->
+             Cache.add cache key prepared;
+             with_counters counters (fun c ->
+                 match tier with
+                 | Store.Stored -> c.store_hits <- c.store_hits + 1
+                 | Store.Planned -> c.plans_built <- c.plans_built + 1);
+             { Queue.prepared; batch_demand; coalesced; cache_hit = false })
   in
   with_counters counters (fun c -> c.jobs <- c.jobs + 1);
   (match on_complete with
@@ -107,38 +100,28 @@ let cache_keys t = Cache.keys t.cache
 
 type primed = { replanned : int; from_store : int }
 
-(* Recovery priming: rebuild the plans the crashed process had.  The
-   plan store is consulted first — a decoded entry is bit-identical to
-   a re-plan (the differential tests in [test_plan_store] hold the
-   codec to that), so priming from it preserves PR 5's determinism
-   guarantee while skipping the planning work.  Re-planning remains the
-   fallback for misses and version mismatches; it is deterministic
-   (every spec dispatches through the Mdst.Scheduler registry), so
-   inserting in least-recently-used-first order reproduces both the
-   cache contents and the recency chain either way.  Recovered pending
-   requests are resubmitted quietly — their accepted records are
-   already journaled — with no waiter: the pool plans them and the
-   completion hook discharges them, re-warming the cache. *)
+(* Recovery priming: rebuild the plans the crashed process had through
+   the workers' own {!Store.obtain}.  A plan decoded from the store is
+   bit-identical to a re-plan (the differential tests in
+   [test_plan_store] hold the codec to that), and re-planning is
+   deterministic (every spec dispatches through the Mdst.Scheduler
+   registry), so inserting in least-recently-used-first order
+   reproduces both the cache contents and the recency chain either
+   way.  Recovered pending requests are resubmitted quietly — their
+   accepted records are already journaled — with no waiter: the pool
+   plans them and the completion hook discharges them, re-warming the
+   cache. *)
 let prime t ~cache ~pending =
   let primed =
     List.fold_left
       (fun acc spec ->
-        let from_store =
-          match t.store with None -> None | Some s -> s.Store.find spec
-        in
-        match from_store with
-        | Some prepared ->
+        match Store.obtain t.store spec with
+        | Ok (prepared, tier) -> (
           Cache.add t.cache (Request.cache_key spec) prepared;
-          { acc with from_store = acc.from_store + 1 }
-        | None -> (
-          match Validate.protect (fun () -> Prep.run spec) with
-          | Ok prepared ->
-            Cache.add t.cache (Request.cache_key spec) prepared;
-            (match t.store with
-            | None -> ()
-            | Some s -> s.Store.add spec prepared);
-            { acc with replanned = acc.replanned + 1 }
-          | Error _ -> acc))
+          match tier with
+          | Store.Stored -> { acc with from_store = acc.from_store + 1 }
+          | Store.Planned -> { acc with replanned = acc.replanned + 1 })
+        | Error _ -> acc)
       { replanned = 0; from_store = 0 }
       cache
   in
@@ -327,35 +310,7 @@ let serve_channels t ic oc =
   Thread.join writer_thread
 
 let serve_tcp ?on_listen t ~host ~port =
-  let addr = Net.resolve ~host ~port in
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt sock Unix.SO_REUSEADDR true;
-  Unix.bind sock addr;
-  Unix.listen sock 64;
-  (match on_listen with
-  | None -> ()
-  | Some f -> (
-    (* With port 0 the kernel picked the port; read it back. *)
-    match Unix.getsockname sock with
-    | Unix.ADDR_INET (_, bound) -> f bound
-    | Unix.ADDR_UNIX _ -> f port));
-  while true do
-    (* A signal (e.g. SIGTERM starting the clean-shutdown thread)
-       interrupts the blocking accept; keep serving until the shutdown
-       path exits the process. *)
-    match Unix.accept sock with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | fd, _peer ->
-      ignore
-        (Thread.create
-           (fun fd ->
-             let ic = Unix.in_channel_of_descr fd in
-             let oc = Unix.out_channel_of_descr fd in
-             (try serve_channels t ic oc with _ -> ());
-             (try close_out oc with _ -> ());
-             try Unix.close fd with _ -> ())
-           fd)
-  done
+  Net.serve ?on_listen ~host ~port (serve_channels t)
 
 let stop t =
   Queue.close t.queue;

@@ -49,11 +49,10 @@ val create :
       object (a promoted follower or a feed-serving primary wires it,
       see [lib/replication]).
 
-    [store] plugs in a second plan-cache tier (see {!Store}): workers
-    consult it after an LRU miss and before planning, write every
-    freshly built plan through to it, and {!prime} reads it before
-    falling back to re-planning.  Its counters become the stats
-    response's [plan_store] object. *)
+    [store] plugs in a second plan-cache tier (see {!Store}): after an
+    LRU miss, workers and {!prime} alike go through {!Store.obtain} —
+    the store first, planning with write-through otherwise.  Its
+    counters become the stats response's [plan_store] object. *)
 
 val workers : t -> int
 
@@ -84,11 +83,9 @@ val serve_channels : t -> in_channel -> out_channel -> unit
     answered.  The server stays usable afterwards. *)
 
 val serve_tcp : ?on_listen:(int -> unit) -> t -> host:string -> port:int -> unit
-(** Bind, listen and serve forever, one thread per connection.
-    [port = 0] binds an ephemeral port; [on_listen] receives the port
-    actually bound (after [listen], before the first [accept]), which is
-    how [dmfd --port 0] announces itself to the router launcher and to
-    smoke tests.
+(** {!serve_channels} every connection through {!Net.serve}, forever.
+    [on_listen] is how [dmfd --port 0] announces its ephemeral port to
+    the router launcher and to smoke tests.
     @raise Unix.Unix_error if the address cannot be bound. *)
 
 val stop : t -> unit

@@ -17,3 +17,16 @@ type t = {
   stats : unit -> Jsonl.t;
       (** Becomes the [plan_store] object of stats responses. *)
 }
+
+type tier =
+  | Stored  (** Decoded from the store's [find]. *)
+  | Planned  (** Built by {!Prep.run} and written through to [add]. *)
+
+val obtain :
+  t option -> Request.spec -> (Prep.prepared * tier, string) result
+(** The plan tier below the LRU, in one place: the store's [find]
+    first, otherwise {!Prep.run} under {!Validate.protect} with the
+    fresh plan written through to the store's [add].  Returns which
+    tier answered; [Error] carries the engine's rejection message.
+    Worker jobs, recovery priming and follower priming all go through
+    this function.  [None] means no store: every call plans. *)

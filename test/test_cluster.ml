@@ -503,15 +503,15 @@ let router_failover () =
       {|{"req": "stats", "id": 3}|};
     ]
   in
-  List.iter
-    (fun line ->
-      output_string oc line;
-      output_char oc '\n')
-    lines;
-  flush oc;
+  (* One request at a time: two identical prepares in flight together
+     may coalesce into one planning job, and then the second is no
+     cache hit. *)
   let responses =
     List.map
-      (fun _ ->
+      (fun line ->
+        output_string oc line;
+        output_char oc '\n';
+        flush oc;
         match Service.Jsonl.of_string (input_line ic) with
         | Ok json -> json
         | Error msg -> Alcotest.failf "bad response line: %s" msg)

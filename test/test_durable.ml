@@ -1,8 +1,9 @@
 (* The durable subsystem: CRC-32 known answers, record codec round-trips
    and corruption detection, WAL append -> replay round-trips including
-   deliberately torn tails, snapshot load/compaction, the bounded
-   Jsonl.read_line, and differential properties checking that recovery
-   rebuilds exactly the state an uninterrupted run reaches. *)
+   deliberately torn tails, snapshot load/compaction, golden journal and
+   snapshot bytes, the bounded Jsonl.read_line, and differential
+   properties checking that the live state and recovery both reach the
+   state of an independent list-LRU model (state_model.ml). *)
 
 open QCheck2
 
@@ -110,7 +111,14 @@ let sample_kinds =
     Durable.Record.Accepted spec_pool.(3);
   ]
 
+(* The expected state after [kinds], from the independent list-LRU
+   reference model (test/state_model.ml). *)
 let model_of kinds =
+  let model = State_model.create ~cache_capacity:8 in
+  List.iter (State_model.apply model) kinds;
+  model
+
+let state_of kinds =
   let state = Durable.State.create ~cache_capacity:8 in
   List.iter (Durable.State.apply state) kinds;
   state
@@ -135,7 +143,7 @@ let wal_replay_roundtrip () =
       Alcotest.(check int) "next seq" (List.length sample_kinds + 1)
         stats.Durable.Replay.next_seq;
       Alcotest.(check bool) "state equals the model" true
-        (Durable.State.equal state (model_of sample_kinds)))
+        (State_model.agrees (model_of sample_kinds) state))
 
 let wal_torn_tail () =
   with_temp_dir (fun dir ->
@@ -156,7 +164,7 @@ let wal_torn_tail () =
       Alcotest.(check bool) "no gap" false stats.Durable.Replay.gap;
       let shorter = List.filteri (fun i _ -> i < n - 1) sample_kinds in
       Alcotest.(check bool) "state equals the model minus the tail" true
-        (Durable.State.equal state (model_of shorter)))
+        (State_model.agrees (model_of shorter) state))
 
 (* The two-crash scenario: crash #1 tears the FIRST record of a fresh
    segment, so recovery's next_seq equals that segment's start_seq and
@@ -201,9 +209,9 @@ let torn_head_segment_repaired () =
         stats.Durable.Replay.truncated;
       Alcotest.(check bool) "no gap" false stats.Durable.Replay.gap;
       Alcotest.(check bool) "state includes the post-repair record" true
-        (Durable.State.equal state
-           (model_of
-              (sample_kinds @ [ Durable.Record.Accepted spec_pool.(3) ]))))
+        (State_model.agrees
+           (model_of (sample_kinds @ [ Durable.Record.Accepted spec_pool.(3) ]))
+           state))
 
 (* A lost segment leaves a sequence gap.  The boot that detects it must
    snapshot what it recovered and move the unreachable segments aside:
@@ -250,14 +258,15 @@ let gap_segments_quarantined () =
       Alcotest.(check int) "post-quarantine records recovered" 2
         stats.Durable.Replay.replayed;
       Alcotest.(check bool) "state = pre-gap + post-quarantine records" true
-        (Durable.State.equal state
+        (State_model.agrees
            (model_of
               (head
               @ [
                   Durable.Record.Accepted spec_pool.(3);
                   Durable.Record.Completed
                     { spec = spec_pool.(3); requests = 1; ok = true };
-                ]))))
+                ]))
+           state))
 
 (* lockf locks never conflict within one process, so the double-daemon
    guard is probed from a forked child, exactly the situation it is
@@ -391,7 +400,7 @@ let group_commit_concurrent () =
 
 let snapshot_roundtrip () =
   with_temp_dir (fun dir ->
-      let state = model_of sample_kinds in
+      let state = state_of sample_kinds in
       let path = Durable.Snapshot.write ~dir ~seq:7 state in
       (match Durable.Snapshot.load ~cache_capacity:8 path with
       | Ok state' ->
@@ -399,7 +408,7 @@ let snapshot_roundtrip () =
           (Durable.State.equal state state')
       | Error msg -> Alcotest.failf "load failed: %s" msg);
       (* A corrupted newer snapshot is skipped in favour of an older one. *)
-      let older = model_of (List.filteri (fun i _ -> i < 3) sample_kinds) in
+      let older = state_of (List.filteri (fun i _ -> i < 3) sample_kinds) in
       ignore (Durable.Snapshot.write ~dir ~seq:3 older);
       let newer = open_out_gen [ Open_append ] 0o644 path in
       output_string newer "garbage";
@@ -443,7 +452,7 @@ let snapshot_then_compact () =
       Alcotest.(check bool) "recovered state = live state" true
         (Durable.State.equal state live);
       Alcotest.(check bool) "recovered state = uninterrupted model" true
-        (Durable.State.equal state (model_of sample_kinds)))
+        (State_model.agrees (model_of sample_kinds) state))
 
 (* ------------------------------------------------------------------ *)
 (* Bounded line reader (the Jsonl hardening)                           *)
@@ -482,19 +491,22 @@ let read_line_cases () =
 
 type op = Accept of int | Complete of int * int * bool
 
-let op_gen =
+let op_gen_over pool =
   let open Gen in
-  let idx = int_range 0 (Array.length spec_pool - 1) in
+  let idx = int_range 0 (Array.length pool - 1) in
   oneof
     [
       map (fun i -> Accept i) idx;
       map3 (fun i r ok -> Complete (i, r, ok)) idx (int_range 1 3) bool;
     ]
 
-let kind_of_op = function
-  | Accept i -> Durable.Record.Accepted spec_pool.(i)
+let kind_over pool = function
+  | Accept i -> Durable.Record.Accepted pool.(i)
   | Complete (i, r, ok) ->
-    Durable.Record.Completed { spec = spec_pool.(i); requests = r; ok }
+    Durable.Record.Completed { spec = pool.(i); requests = r; ok }
+
+let op_gen = op_gen_over spec_pool
+let kind_of_op = kind_over spec_pool
 
 let op_print = function
   | Accept i -> Printf.sprintf "A%d" i
@@ -519,11 +531,11 @@ let prop_manager_recovery =
             }
           in
           let manager, _ = Durable.Manager.start config in
-          let reference = Durable.State.create ~cache_capacity:4 in
+          let reference = State_model.create ~cache_capacity:4 in
           List.iter
             (fun op ->
               let kind = kind_of_op op in
-              Durable.State.apply reference kind;
+              State_model.apply reference kind;
               match kind with
               | Durable.Record.Accepted spec ->
                 Durable.Manager.on_accept manager spec
@@ -535,8 +547,8 @@ let prop_manager_recovery =
           let recovered, stats = Durable.Replay.recover ~dir ~cache_capacity:4 in
           (not stats.Durable.Replay.gap)
           && stats.Durable.Replay.truncated = 0
-          && Durable.State.equal mirror reference
-          && Durable.State.equal recovered reference))
+          && State_model.agrees reference mirror
+          && State_model.agrees reference recovered))
 
 let prop_torn_tail_recovery =
   Generators.qtest ~count:60
@@ -556,14 +568,131 @@ let prop_torn_tail_recovery =
           Unix.truncate path (size - 4);
           let recovered, stats = Durable.Replay.recover ~dir ~cache_capacity:4 in
           let n = List.length kinds in
-          let reference = Durable.State.create ~cache_capacity:4 in
+          let reference = State_model.create ~cache_capacity:4 in
           List.iteri
-            (fun i kind -> if i < n - 1 then Durable.State.apply reference kind)
+            (fun i kind -> if i < n - 1 then State_model.apply reference kind)
             kinds;
           stats.Durable.Replay.replayed = n - 1
           && stats.Durable.Replay.truncated = 1
           && (not stats.Durable.Replay.gap)
-          && Durable.State.equal recovered reference))
+          && State_model.agrees reference recovered))
+
+(* Twelve cache keys over three coalesce keys: wide enough that every
+   capacity from 0 to 8 evicts. *)
+let wide_pool =
+  Array.of_list
+    (List.concat_map
+       (fun ratio ->
+         List.map (fun demand -> spec_for ~ratio ~demand ()) [ 2; 4; 6; 8 ])
+       [ pcr16; Dmf.Ratio.of_string "3:1"; Dmf.Ratio.of_string "1:1:2" ])
+
+(* The state against the list-LRU model on every step of a random
+   stream, across a restore at a capacity no larger (a daemon restarted
+   with a smaller cache), and on every step after it. *)
+let prop_state_matches_model =
+  Generators.qtest ~count:300
+    "random op streams, capacities 0-8, smaller restore: state = list LRU"
+    Gen.(
+      quad
+        (list_size (int_range 0 40) (op_gen_over wide_pool))
+        (list_size (int_range 0 20) (op_gen_over wide_pool))
+        (int_range 0 8) (int_range 0 8))
+    (Print.quad (Print.list op_print) (Print.list op_print) string_of_int
+       string_of_int)
+    (fun (ops, after, capacity, shrink) ->
+      let step state model op =
+        let kind = kind_over wide_pool op in
+        Durable.State.apply state kind;
+        State_model.apply model kind;
+        State_model.agrees model state
+      in
+      let state = Durable.State.create ~cache_capacity:capacity in
+      let model = State_model.create ~cache_capacity:capacity in
+      List.for_all (step state model) ops
+      &&
+      let smaller = min capacity shrink in
+      let state =
+        Durable.State.restore ~cache_capacity:smaller
+          ~cache_mru:(Durable.State.cache_specs state)
+          ~outstanding:(Durable.State.outstanding state)
+      in
+      let model =
+        State_model.restore ~cache_capacity:smaller
+          ~cache_mru:model.State_model.cache
+          ~outstanding:model.State_model.outstanding
+      in
+      State_model.agrees model state && List.for_all (step state model) after)
+
+(* ------------------------------------------------------------------ *)
+(* Golden bytes                                                        *)
+
+(* One fixed op stream through a capacity-3 manager: touches of cached
+   keys, evictions, a coalesced and a failed completion, a q'-budgeted
+   spec, and requests still outstanding at the end.  The journal
+   segment, the snapshot [close] writes, and that snapshot re-written
+   after a restore at capacity 2 must match the files under
+   golden/durable byte for byte: they pin the format and the recency
+   order of every record and snapshot, so regenerate them only for a
+   deliberate format change. *)
+let golden_specs =
+  Array.append spec_pool
+    [| { (spec_for ~demand:32 ~mixers:None ()) with storage_limit = Some 5 } |]
+
+let golden_ops =
+  [
+    Accept 0; Accept 1; Complete (0, 1, true); Accept 2; Accept 0;
+    Complete (1, 1, true); Complete (2, 1, true); Complete (0, 1, true);
+    Accept 3; Accept 4; Accept 4; Complete (3, 1, false);
+    Complete (4, 2, true); Accept 1; Complete (1, 1, true); Accept 2;
+    Accept 3;
+  ]
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let golden_bytes () =
+  with_temp_dir (fun dir ->
+      let config =
+        {
+          Durable.Manager.dir;
+          fsync = Durable.Wal.strict;
+          snapshot_every = 0;
+          cache_capacity = 3;
+        }
+      in
+      let manager, _ = Durable.Manager.start config in
+      List.iter
+        (function
+          | Accept i -> Durable.Manager.on_accept manager golden_specs.(i)
+          | Complete (i, requests, ok) ->
+            Durable.Manager.on_complete manager ~spec:golden_specs.(i)
+              ~requests ~ok)
+        golden_ops;
+      let segment = read_file (Filename.concat dir (Durable.Wal.segment_name 1)) in
+      Durable.Manager.close manager;
+      let seq, path =
+        match Durable.Snapshot.list ~dir with
+        | [ snapshot ] -> snapshot
+        | _ -> Alcotest.fail "expected exactly one snapshot"
+      in
+      let snapshot = read_file path in
+      let restored =
+        match Durable.Snapshot.load ~cache_capacity:2 path with
+        | Ok state -> read_file (Durable.Snapshot.write ~dir ~seq state)
+        | Error msg -> Alcotest.failf "snapshot load failed: %s" msg
+      in
+      let files =
+        [
+          ("segment.ndjson", segment);
+          ("snapshot.json", snapshot);
+          ("snapshot-capacity-2.json", restored);
+        ]
+      in
+      List.iter
+        (fun (name, bytes) ->
+          Alcotest.(check string) name
+            (read_file (Filename.concat "golden/durable" name))
+            bytes)
+        files)
 
 (* ------------------------------------------------------------------ *)
 (* Server-level differential over the generator corpus                 *)
@@ -653,18 +782,14 @@ let server_recovery_differential () =
       Durable.Manager.close manager;
       (* Boot a second daemon from the directory, exactly as dmfd does. *)
       let manager2, recovery = Durable.Manager.start config in
-      Alcotest.(check int) "no pending jobs after a clean run" 0
-        (List.length (Durable.Manager.recovered_pending manager2));
       Alcotest.(check bool) "recovery loaded a snapshot" true
         (recovery.Durable.Replay.snapshot_seq <> None);
       let server2 = Service.Server.create ~workers:1 ~cache_capacity:16 () in
-      let primed =
-        Service.Server.prime server2
-          ~cache:(Durable.Manager.recovered_cache manager2)
-          ~pending:(Durable.Manager.recovered_pending manager2)
-      in
+      let primed = Durable.Manager.prime manager2 server2 in
+      Alcotest.(check int) "no pending jobs after a clean run" 0
+        primed.Durable.Manager.pending;
       Alcotest.(check int) "every plan rebuilt" (List.length lines)
-        (primed.Service.Server.replanned + primed.Service.Server.from_store);
+        (primed.Durable.Manager.replanned + primed.Durable.Manager.from_store);
       Alcotest.(check (list string)) "recovered cache recency preserved"
         (Durable.State.cache_keys (Durable.Manager.state manager2))
         (Service.Server.cache_keys server2);
@@ -726,6 +851,8 @@ let () =
             snapshot_roundtrip;
           Alcotest.test_case "manager snapshots, rotates and compacts" `Quick
             snapshot_then_compact;
+          Alcotest.test_case "journal and snapshot bytes match the golden files"
+            `Quick golden_bytes;
         ] );
       ( "jsonl",
         [ Alcotest.test_case "bounded read_line" `Quick read_line_cases ] );
@@ -733,6 +860,7 @@ let () =
         [
           prop_manager_recovery;
           prop_torn_tail_recovery;
+          prop_state_matches_model;
           Alcotest.test_case "server recovery reproduces the run" `Quick
             server_recovery_differential;
         ] );

@@ -377,13 +377,6 @@ let gc_bounds () =
 (* ------------------------------------------------------------------ *)
 (* Server integration: prime from the store                            *)
 
-let service_store store =
-  {
-    Service.Store.find = Durable.Plan_store.find store;
-    add = Durable.Plan_store.add store;
-    stats = (fun () -> Durable.Plan_store.stats_json store);
-  }
-
 let prime_from_store () =
   with_temp_dir (fun dir ->
       let specs =
@@ -398,7 +391,7 @@ let prime_from_store () =
       let store = Durable.Plan_store.open_store ~dir () in
       let server =
         Service.Server.create ~workers:1 ~cache_capacity:16
-          ~store:(service_store store) ()
+          ~store:(Durable.Plan_store.to_store store) ()
       in
       let primed = Service.Server.prime server ~cache:specs ~pending:[] in
       Alcotest.(check int) "cold: all re-planned" (List.length specs)
@@ -411,7 +404,7 @@ let prime_from_store () =
       let store2 = Durable.Plan_store.open_store ~dir () in
       let server2 =
         Service.Server.create ~workers:1 ~cache_capacity:16
-          ~store:(service_store store2) ()
+          ~store:(Durable.Plan_store.to_store store2) ()
       in
       let primed2 = Service.Server.prime server2 ~cache:specs ~pending:[] in
       Alcotest.(check int) "warm: all from store" (List.length specs)
@@ -431,7 +424,7 @@ let prime_from_store () =
       rewrite victim (fun image -> String.sub image 0 10);
       let server3 =
         Service.Server.create ~workers:1 ~cache_capacity:16
-          ~store:(service_store store3) ()
+          ~store:(Durable.Plan_store.to_store store3) ()
       in
       let primed3 = Service.Server.prime server3 ~cache:specs ~pending:[] in
       Alcotest.(check int) "corrupt entry re-planned" 1

@@ -160,13 +160,14 @@ let check_mirror ~primary_dir ~follower_dir =
         (read_file primary_path) (read_file path))
     mirrored
 
-let start_primary ~dir =
+let start_primary ?(snapshot_every = 0) ?(fetch_plan = fun _ -> None) ~dir ()
+    =
   let manager, _ =
     Durable.Manager.start
       {
         Durable.Manager.dir;
         fsync = Durable.Wal.strict;
-        snapshot_every = 0;
+        snapshot_every;
         cache_capacity = 8;
       }
   in
@@ -175,7 +176,7 @@ let start_primary ~dir =
       {
         Replication.Feed.dir;
         last_seq = (fun () -> Durable.Manager.last_seq manager);
-        fetch_plan = (fun _ -> None);
+        fetch_plan;
       }
   in
   Durable.Manager.subscribe_journal manager (Replication.Feed.notify feed);
@@ -231,7 +232,7 @@ let gets json key =
 let stream_apply_resume_promote () =
   with_temp_dir (fun primary_dir ->
       with_temp_dir (fun follower_dir ->
-          let manager, feed, port = start_primary ~dir:primary_dir in
+          let manager, feed, port = start_primary ~dir:primary_dir () in
           let journal spec =
             Durable.Manager.on_accept manager spec;
             Durable.Manager.on_complete manager ~spec ~requests:1 ~ok:true
@@ -309,48 +310,7 @@ let snapshot_reset_path () =
   with_temp_dir (fun primary_dir ->
       with_temp_dir (fun follower_dir ->
           let manager, feed, port =
-            let manager, _ =
-              Durable.Manager.start
-                {
-                  Durable.Manager.dir = primary_dir;
-                  fsync = Durable.Wal.strict;
-                  snapshot_every = 2;
-                  cache_capacity = 8;
-                }
-            in
-            let feed =
-              Replication.Feed.create
-                {
-                  Replication.Feed.dir = primary_dir;
-                  last_seq = (fun () -> Durable.Manager.last_seq manager);
-                  fetch_plan = (fun _ -> None);
-                }
-            in
-            Durable.Manager.subscribe_journal manager
-              (Replication.Feed.notify feed);
-            let m = Mutex.create () in
-            let cv = Condition.create () in
-            let port = ref 0 in
-            ignore
-              (Thread.create
-                 (fun () ->
-                   try
-                     Replication.Feed.serve_tcp feed
-                       ~on_listen:(fun bound ->
-                         Mutex.lock m;
-                         port := bound;
-                         Condition.signal cv;
-                         Mutex.unlock m)
-                       ~host:"127.0.0.1" ~port:0
-                   with _ -> ())
-                 ());
-            Mutex.lock m;
-            while !port = 0 do
-              Condition.wait cv m
-            done;
-            let bound = !port in
-            Mutex.unlock m;
-            (manager, feed, bound)
+            start_primary ~snapshot_every:2 ~dir:primary_dir ()
           in
           (* Enough records to snapshot, rotate and compact: the first
              segment is gone, so history does not start at seq 1. *)
@@ -384,6 +344,68 @@ let snapshot_reset_path () =
           Replication.Feed.stop feed;
           Durable.Manager.close manager))
 
+(* The follower's plan tier, one counter per source: a plan already in
+   its own store, one the primary's store serves over plan fetch (which
+   the follower writes through), and one neither holds, re-planned. *)
+let priming_tiers () =
+  with_temp_dir (fun primary_dir ->
+      with_temp_dir (fun follower_dir ->
+          with_temp_dir (fun primary_store_dir ->
+              with_temp_dir (fun local_store_dir ->
+                  let primary_store =
+                    Durable.Plan_store.open_store ~dir:primary_store_dir ()
+                  in
+                  let local =
+                    Durable.Plan_store.open_store ~dir:local_store_dir ()
+                  in
+                  let stored = spec_for ()
+                  and fetched = spec_for ~ratio:(Dmf.Ratio.of_string "3:1") ()
+                  and planned =
+                    spec_for ~ratio:(Dmf.Ratio.of_string "1:1:2") ()
+                  in
+                  Durable.Plan_store.add local stored (Service.Prep.run stored);
+                  Durable.Plan_store.add primary_store fetched
+                    (Service.Prep.run fetched);
+                  let manager, feed, port =
+                    start_primary ~dir:primary_dir
+                      ~fetch_plan:(fun spec ->
+                        Option.map Durable.Plan_store.encode_prepared
+                          (Durable.Plan_store.find primary_store spec))
+                      ()
+                  in
+                  List.iter
+                    (fun spec ->
+                      Durable.Manager.on_accept manager spec;
+                      Durable.Manager.on_complete manager ~spec ~requests:1
+                        ~ok:true)
+                    [ stored; fetched; planned ];
+                  let follower =
+                    Replication.Follower.create
+                      {
+                        (follower_config ~port ~dir:follower_dir) with
+                        store = Some local;
+                        fetch_plans = true;
+                      }
+                  in
+                  Replication.Follower.start follower;
+                  await "all three completions applied" (fun () ->
+                      Replication.Follower.last_applied follower >= 6);
+                  let repl = Replication.Follower.repl_json follower in
+                  Alcotest.(check int) "one plan from the local store" 1
+                    (geti repl "primed_from_store");
+                  Alcotest.(check int) "one plan fetched from the primary" 1
+                    (geti repl "primed_fetched");
+                  Alcotest.(check int) "one plan re-planned" 1
+                    (geti repl "primed_replanned");
+                  Alcotest.(check bool) "the fetched plan is written through"
+                    true
+                    (Durable.Plan_store.find local fetched <> None);
+                  Alcotest.(check bool) "so is the re-planned one" true
+                    (Durable.Plan_store.find local planned <> None);
+                  Replication.Follower.close follower;
+                  Replication.Feed.stop feed;
+                  Durable.Manager.close manager))))
+
 let () =
   Alcotest.run "replication"
     [
@@ -406,5 +428,7 @@ let () =
             stream_apply_resume_promote;
           Alcotest.test_case "compacted history forces snapshot reset" `Quick
             snapshot_reset_path;
+          Alcotest.test_case "follower primes from store, feed, then planning"
+            `Quick priming_tiers;
         ] );
     ]

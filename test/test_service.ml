@@ -249,6 +249,8 @@ let lru_eviction () =
   Service.Cache.add cache "d" 4;
   Alcotest.(check (list string)) "c evicted after a's refresh" [ "d"; "a" ]
     (Service.Cache.keys cache);
+  Alcotest.(check (list int)) "values in MRU order, a overwritten" [ 4; 10 ]
+    (Service.Cache.values cache);
   (* Capacity 0 disables caching. *)
   let off = Service.Cache.create ~capacity:0 in
   Service.Cache.add off "x" 1;
@@ -538,10 +540,7 @@ let kill9_recovery () =
            and re-issue the answered requests: identical payloads. *)
         let manager, _ = Durable.Manager.start config in
         let server = Service.Server.create ~workers:1 ~cache_capacity:16 () in
-        ignore
-          (Service.Server.prime server
-             ~cache:(Durable.Manager.recovered_cache manager)
-             ~pending:(Durable.Manager.recovered_pending manager));
+        ignore (Durable.Manager.prime manager server);
         let replayed = round_trip server answered_lines in
         let volatile = [ "elapsed_ms"; "cache_hit"; "coalesced"; "batch_D" ] in
         let normalize = function
@@ -558,6 +557,61 @@ let kill9_recovery () =
           answered replayed;
         Service.Server.stop server;
         Durable.Manager.close manager)
+
+(* ------------------------------------------------------------------ *)
+(* TCP accept loop                                                     *)
+
+(* Hundreds of short connections back to back on one listener, from a
+   few clients at once: ping, read the pong, close, reconnect at once.
+   Each accepted descriptor must be closed exactly once: a second close
+   lands on whichever connection the kernel handed the same number to
+   next, and that connection's ping goes unanswered.  A receive timeout
+   turns a lost connection into a miss instead of a hang. *)
+let tcp_reconnect_storm () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let server = Service.Server.create ~workers:1 () in
+  let m = Mutex.create () and cv = Condition.create () and bound = ref 0 in
+  ignore
+    (Thread.create
+       (fun () ->
+         try
+           Service.Server.serve_tcp server ~host:"127.0.0.1" ~port:0
+             ~on_listen:(fun port ->
+               Mutex.lock m;
+               bound := port;
+               Condition.signal cv;
+               Mutex.unlock m)
+         with _ -> ())
+       ());
+  Mutex.lock m;
+  while !bound = 0 do
+    Condition.wait cv m
+  done;
+  let port = !bound in
+  Mutex.unlock m;
+  let clients = 4 and per_client = 100 in
+  let answered = Atomic.make 0 in
+  let client () =
+    for id = 1 to per_client do
+      let fd = Service.Net.connect ~host:"127.0.0.1" ~port in
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+      let ic = Unix.in_channel_of_descr fd in
+      let oc = Unix.out_channel_of_descr fd in
+      (match
+         Printf.fprintf oc "{\"req\": \"ping\", \"id\": %d}\n%!" id;
+         Service.Jsonl.of_string (input_line ic)
+       with
+      | Ok json when geti json "id" = id && getb json "ok" ->
+        Atomic.incr answered
+      | Ok _ | Error _ -> ()
+      | exception (End_of_file | Sys_error _) -> ());
+      close_out_noerr oc
+    done
+  in
+  List.iter Thread.join (List.init clients (fun _ -> Thread.create client ()));
+  Alcotest.(check int) "every ping answered" (clients * per_client)
+    (Atomic.get answered);
+  Service.Server.stop server
 
 (* ------------------------------------------------------------------ *)
 (* Primary failover: kill -9 the primary, promote the hot standby      *)
@@ -847,5 +901,9 @@ let () =
           prop_lru_capacity;
         ] );
       ( "server",
-        [ Alcotest.test_case "stdio end-to-end smoke" `Quick stdio_smoke ] );
+        [
+          Alcotest.test_case "stdio end-to-end smoke" `Quick stdio_smoke;
+          Alcotest.test_case "back-to-back TCP connections all answered"
+            `Quick tcp_reconnect_storm;
+        ] );
     ]

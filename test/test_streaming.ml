@@ -108,6 +108,46 @@ let test_scheduler_choice () =
   check bool "MMS streaming no slower in total cycles" true
     (mms.Mdst.Streaming.total_cycles <= srs.Mdst.Streaming.total_cycles + 2)
 
+(* q is not monotone in the demand, so the remainder after the full
+   passes can need more storage than they do.  At q' = 5 this input
+   fits D' = 20, but a 12-droplet remainder would need q = 6: it must be
+   re-planned as 6 + 6 at q = 5, not reported within the limit. *)
+let test_remainder_overflow_replanned () =
+  let ratio = Dmf.Ratio.of_string "9:5:5:5:4:3:1" in
+  let r =
+    Mdst.Streaming.run ~algorithm:Mixtree.Algorithm.RSM ~ratio ~demand:32
+      ~mixers:(Mdst.Engine.default_mixers ratio) ~storage_limit:5
+      ~scheduler:Mdst.Scheduler.srs ()
+  in
+  let passes = r.Mdst.Streaming.passes in
+  check int "D' is still 20" 20 r.Mdst.Streaming.per_pass_demand;
+  check Alcotest.(list int) "passes of 20, 6 and 6" [ 20; 6; 6 ]
+    (List.map (fun p -> p.Mdst.Streaming.demand) passes);
+  check Alcotest.(list int) "every pass needs q = 5" [ 5; 5; 5 ]
+    (List.map (fun p -> p.Mdst.Streaming.q) passes);
+  check bool "within the limit" true r.Mdst.Streaming.within_limit
+
+let prop_within_limit_means_every_pass =
+  Generators.qtest ~count:80 "within_limit holds iff every pass fits q'"
+    QCheck2.Gen.(
+      quad Generators.ratio_gen (int_range 1 40) (int_range 0 8)
+        (oneofl [ Mixtree.Algorithm.MM; Mixtree.Algorithm.RSM ]))
+    (fun (r, d, q, a) ->
+      Printf.sprintf "%s D=%d q=%d %s" (Dmf.Ratio.to_string r) d q
+        (Mixtree.Algorithm.name a))
+    (fun (ratio, demand, storage_limit, algorithm) ->
+      let r =
+        Mdst.Streaming.run ~algorithm ~ratio ~demand ~mixers:2 ~storage_limit
+          ~scheduler:Mdst.Scheduler.srs ()
+      in
+      r.Mdst.Streaming.within_limit
+      = List.for_all
+          (fun p -> p.Mdst.Streaming.q <= storage_limit)
+          r.Mdst.Streaming.passes
+      && List.fold_left (fun acc p -> acc + p.Mdst.Streaming.demand) 0
+           r.Mdst.Streaming.passes
+         = demand)
+
 let prop_streaming_consistent =
   Generators.qtest ~count:80 "streaming totals are consistent"
     QCheck2.Gen.(
@@ -144,6 +184,9 @@ let () =
           Alcotest.test_case "bad arguments rejected" `Quick
             test_rejects_bad_arguments;
           Alcotest.test_case "scheduler choice" `Quick test_scheduler_choice;
+          Alcotest.test_case "overflowing remainder re-planned" `Quick
+            test_remainder_overflow_replanned;
         ] );
-      ("properties", [ prop_streaming_consistent ]);
+      ( "properties",
+        [ prop_streaming_consistent; prop_within_limit_means_every_pass ] );
     ]
