@@ -1648,8 +1648,6 @@ let cluster () =
             Thread.create
               (fun () ->
                 let fd = Service.Net.connect ~host:"127.0.0.1" ~port in
-                (try Unix.setsockopt fd Unix.TCP_NODELAY true
-                 with Unix.Unix_error _ -> ());
                 let oc = Unix.out_channel_of_descr fd in
                 let ic = Unix.in_channel_of_descr fd in
                 let sent = Array.make (max n 1) t0 in

@@ -12,7 +12,16 @@
    [retries] times with [backoff_ms] between attempts, and once the
    budget is spent the shard enters a [cooldown_ms] window in which
    sends fail fast — so a dead shard costs each affected request at most
-   the bounded retry budget, and unaffected shards never notice. *)
+   the bounded retry budget, and unaffected shards never notice.
+
+   Teardown order: whoever kills a connection (a failed write, [close],
+   or the reader at EOF) marks it dead under the lock and shuts the
+   socket down for both directions.  That wakes the reader's blocked
+   read with EOF (a plain close would not: on Linux the read keeps the
+   socket open, so the shard never sees the close), and the reader,
+   once it has stopped reading, is the one thread that closes the
+   descriptor.  The number can thus never be reused by another
+   connection while this one's reader may still read from it. *)
 
 type config = {
   host : string;
@@ -73,17 +82,16 @@ let create config =
 
 let addr t = Printf.sprintf "%s:%d" t.config.host t.config.port
 
-let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
 (* Tear one connection down and collect its unanswered continuations.
    Runs under the lock; the continuations are invoked by the caller
    after release (they take the response-slot locks of client
-   transports, which must never nest inside ours). *)
+   transports, which must never nest inside ours).  The socket is shut
+   down, not closed (see the module comment). *)
 let fail_conn_locked t conn =
   if conn.alive then begin
     conn.alive <- false;
     (match t.conn with Some c when c == conn -> t.conn <- None | _ -> ());
-    close_fd conn.fd;
+    (try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
     let orphans = List.of_seq (Stdlib.Queue.to_seq conn.pending) in
     Stdlib.Queue.clear conn.pending;
     t.c.failed <- t.c.failed + List.length orphans;
@@ -91,14 +99,9 @@ let fail_conn_locked t conn =
   end
   else []
 
-let fail_conn t conn =
-  Mutex.lock t.lock;
-  let orphans = fail_conn_locked t conn in
-  Mutex.unlock t.lock;
-  List.iter (fun k -> k None) orphans
-
 (* Per-connection reader: one response line resolves one continuation,
-   in FIFO order.  EOF or any read error kills the connection. *)
+   in FIFO order.  EOF or any read error kills the connection; then the
+   reader closes the descriptor, the only close it gets. *)
 let reader t conn () =
   let rec loop () =
     match input_line conn.ic with
@@ -114,14 +117,17 @@ let reader t conn () =
       | Some k -> k (Some line)
       | None -> (* unsolicited line after a teardown race: drop *) ());
       loop ()
-    | exception (End_of_file | Sys_error _) -> fail_conn t conn
+    | exception (End_of_file | Sys_error _) -> ()
   in
-  loop ()
+  loop ();
+  Mutex.lock t.lock;
+  let orphans = fail_conn_locked t conn in
+  Mutex.unlock t.lock;
+  (try Unix.close conn.fd with Unix.Unix_error _ -> ());
+  List.iter (fun k -> k None) orphans
 
 let connect_once t =
   let fd = Service.Net.connect ~host:t.config.host ~port:t.config.port in
-  (* Per-line request/response traffic: never wait on Nagle. *)
-  (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
   let conn =
     {
       fd;

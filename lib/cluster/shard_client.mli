@@ -54,4 +54,6 @@ val healthy : t -> bool
 val stats : t -> stats
 
 val close : t -> unit
-(** Fail outstanding continuations and refuse further sends. *)
+(** Fail outstanding continuations and refuse further sends.  The
+    connection's socket is shut down at once, so the shard reads EOF;
+    its reader thread then closes the descriptor. *)

@@ -43,17 +43,6 @@ let acquire_dir_lock dir =
     failwith
       (Printf.sprintf "wal directory %s is in use by another process" dir)
 
-(* Cut a torn segment back to its valid prefix so the bytes past it can
-   never merge with a future append (Replay reports the offsets but
-   never writes itself). *)
-let repair_torn (path, valid_bytes) =
-  let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      Unix.ftruncate fd valid_bytes;
-      try Unix.fsync fd with Unix.Unix_error _ -> ())
-
 (* Records past a sequence gap can never be replayed (applying them
    would rebuild a state that never existed), yet left in place they
    would abort every future boot's replay before it reaches the journal
@@ -81,7 +70,7 @@ let start ?store config =
   let state, recovery =
     Replay.recover ~dir:config.dir ~cache_capacity:config.cache_capacity
   in
-  List.iter repair_torn recovery.Replay.repairs;
+  Replay.repair recovery;
   let last_snapshot_seq, since_snapshot, segments_quarantined =
     if recovery.Replay.gap then begin
       let upto = recovery.Replay.next_seq - 1 in

@@ -76,3 +76,16 @@ let recover ~dir ~cache_capacity =
       next_seq = !expected;
       repairs = List.rev !repairs;
     } )
+
+(* Cut each torn segment back to its valid prefix and make the cut
+   durable, so the bytes past it can never merge with a later append. *)
+let repair stats =
+  List.iter
+    (fun (path, valid_bytes) ->
+      let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.ftruncate fd valid_bytes;
+          try Unix.fsync fd with Unix.Unix_error _ -> ()))
+    stats.repairs

@@ -16,12 +16,13 @@
     ({!Service.Server.prime} via {!Manager}).
 
     {!recover} itself never writes: torn segments are reported in
-    {!field-stats.repairs} and it is the caller's job ({!Manager.start})
-    to truncate them back to their valid prefix {e before} appending to
-    the directory again.  Otherwise a segment whose {e first} record was
-    torn would be re-opened for append at the same [start_seq] and the
-    new record's bytes would merge with the torn partial line into one
-    unreadable record. *)
+    {!field-stats.repairs}, and {!repair} truncates them back to their
+    valid prefix.  Both boots that append to a recovered directory
+    ({!Manager.start} and [Replication.Follower.create]) call it
+    {e before} appending again.  Otherwise a segment whose {e first}
+    record was torn would be re-opened for append at the same
+    [start_seq] and the new record's bytes would merge with the torn
+    partial line into one unreadable record. *)
 
 type stats = {
   snapshot_seq : int option;  (** Snapshot the recovery started from. *)
@@ -39,3 +40,8 @@ type stats = {
 val recover : dir:string -> cache_capacity:int -> State.t * stats
 (** A missing or empty [dir] recovers to the empty state (all-zero
     stats, [next_seq = 1]). *)
+
+val repair : stats -> unit
+(** Truncate every segment in [stats.repairs] to its [valid_bytes] and
+    fsync it (an fsync error is ignored; the truncation stands).
+    @raise Unix.Unix_error if a segment cannot be opened or truncated. *)

@@ -107,18 +107,6 @@ let locked t f =
 exception Stopped
 exception Protocol of string
 
-(* Same torn-tail discipline as {!Durable.Manager.start}: a follower
-   that died mid-append must cut the segment back to its valid prefix
-   before resuming, or the resumed stream's bytes would merge with the
-   torn partial line. *)
-let repair_torn (path, valid_bytes) =
-  let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      Unix.ftruncate fd valid_bytes;
-      try Unix.fsync fd with Unix.Unix_error _ -> ())
-
 (* ------------------------------------------------------------------ *)
 (* Plan priming                                                        *)
 
@@ -386,7 +374,10 @@ let create config =
   let state, recovery =
     Replay.recover ~dir:config.dir ~cache_capacity:config.cache_capacity
   in
-  List.iter repair_torn recovery.Replay.repairs;
+  (* A follower that died mid-append cuts the torn segment back before
+     resuming, or the resumed stream's bytes would merge with the torn
+     partial line. *)
+  Replay.repair recovery;
   let expected =
     if recovery.Replay.gap then begin
       (* A mirror with a hole cannot be extended; start over. *)

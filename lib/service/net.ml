@@ -1,5 +1,5 @@
-(* Shared TCP plumbing for every networked front end: name resolution
-   and the accept loop.
+(* Shared TCP plumbing for every networked front end: name resolution,
+   the accept loop and the options of every connection's socket.
 
    One resolver, used by the dmfstream client, the dmfd TCP listener and
    the dmfrouter shard pool, so they all accept exactly the same host
@@ -27,6 +27,12 @@ let resolve ~host ~port =
     | Some addr -> addr
     | None -> failwith ("cannot resolve host " ^ host))
 
+(* Set on every socket [connect] and [serve] hand out (net.mli says
+   why).  A socket that refuses the option still works, only slower, so
+   an error here never closes it. *)
+let nodelay fd =
+  try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
+
 let connect ~host ~port =
   let addr = resolve ~host ~port in
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -38,7 +44,9 @@ let connect ~host ~port =
         try Unix.connect fd addr
         with Unix.Unix_error (Unix.EISCONN, _, _) -> ())
   with
-  | () -> fd
+  | () ->
+    nodelay fd;
+    fd
   | exception e ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise e
@@ -58,6 +66,7 @@ let serve ?on_listen ?(stop = fun () -> false) ~host ~port handle =
     | Unix.ADDR_INET (_, bound) -> f bound
     | Unix.ADDR_UNIX _ -> f port));
   let connection fd =
+    nodelay fd;
     let oc = Unix.out_channel_of_descr fd in
     (try handle (Unix.in_channel_of_descr fd) oc with _ -> ());
     (* Both channels share [fd]; closing [oc] flushes and closes it.

@@ -342,6 +342,52 @@ let start_live_shard () =
   Mutex.unlock m;
   (server, bound)
 
+(* Closing a client must reach the shard at once.  The probe's reader
+   thread is blocked reading when [close] runs; a plain close of the
+   descriptor leaves that read holding the socket open, so the shard
+   would never see EOF.  An echo peer records when its handler reads
+   EOF. *)
+let close_reaches_shard () =
+  let port = Atomic.make 0 and eof = Atomic.make false in
+  let answer = Atomic.make None in
+  let await ~timeout pred =
+    let deadline = Unix.gettimeofday () +. timeout in
+    while (not (pred ())) && Unix.gettimeofday () < deadline do
+      Thread.delay 0.01
+    done;
+    pred ()
+  in
+  ignore
+    (Thread.create
+       (fun () ->
+         Service.Net.serve ~host:"127.0.0.1" ~port:0
+           ~on_listen:(Atomic.set port)
+           (fun ic oc ->
+             let rec echo () =
+               match input_line ic with
+               | line ->
+                 output_string oc (line ^ "\n");
+                 flush oc;
+                 echo ()
+               | exception (End_of_file | Sys_error _) -> Atomic.set eof true
+             in
+             echo ()))
+       ());
+  ignore (await ~timeout:5. (fun () -> Atomic.get port <> 0));
+  let client =
+    Cluster.Shard_client.create
+      (Cluster.Shard_client.default_config ~host:"127.0.0.1"
+         ~port:(Atomic.get port))
+  in
+  Cluster.Shard_client.send client "probe" (Atomic.set answer);
+  Alcotest.(check bool) "the echo came back" true
+    (await ~timeout:5. (fun () -> Atomic.get answer = Some "probe"));
+  (* Let the reader go back to its blocking read. *)
+  Thread.delay 0.05;
+  Cluster.Shard_client.close client;
+  Alcotest.(check bool) "the shard reads EOF within 2 s" true
+    (await ~timeout:2. (fun () -> Atomic.get eof))
+
 let spec_of_ratio ratio =
   {
     Service.Request.ratio;
@@ -565,5 +611,7 @@ let () =
             router_end_to_end;
           Alcotest.test_case "dead primary fails over to its follower" `Quick
             router_failover;
+          Alcotest.test_case "client close reaches the shard" `Quick
+            close_reaches_shard;
         ] );
     ]

@@ -219,6 +219,43 @@ let follower_config ~port ~dir =
     reconnect_ms = 30.;
   }
 
+(* A follower killed mid-append leaves a partial record at the end of
+   its last mirrored segment.  Booting on that mirror must cut the
+   segment back to its valid bytes, or the resumed stream's first
+   record would merge with the torn line. *)
+let torn_mirror_repaired () =
+  with_temp_dir (fun dir ->
+      let sink = Replication.Sink.create ~dir in
+      Replication.Sink.open_segment sink 1;
+      let record seq ratio =
+        Durable.Record.encode ~seq
+          (Durable.Record.Accepted
+             (spec_for ~ratio:(Dmf.Ratio.of_string ratio) ()))
+      in
+      List.iteri
+        (fun i ratio -> Replication.Sink.append_line sink (record (i + 1) ratio))
+        [ "3:1"; "1:1:2" ];
+      Replication.Sink.flush sink;
+      Replication.Sink.close sink;
+      let path =
+        match Durable.Wal.segments ~dir with
+        | [ (_, path) ] -> path
+        | _ -> Alcotest.fail "expected one mirrored segment"
+      in
+      let valid_bytes = (Unix.stat path).Unix.st_size in
+      let torn = record 3 "5:3" in
+      let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+      output_string oc (String.sub torn 0 (String.length torn / 2));
+      close_out oc;
+      let follower =
+        Replication.Follower.create (follower_config ~port:1 ~dir)
+      in
+      Alcotest.(check int) "segment cut back to its valid bytes" valid_bytes
+        (Unix.stat path).Unix.st_size;
+      Alcotest.(check int) "both whole records replayed" 2
+        (Replication.Follower.last_applied follower);
+      Replication.Follower.close follower)
+
 let geti json key =
   match Option.bind (Service.Jsonl.member key json) Service.Jsonl.to_int with
   | Some v -> v
@@ -421,6 +458,8 @@ let () =
             sink_cursor_and_reset;
           Alcotest.test_case "no appends before a segment is open" `Quick
             sink_append_guard;
+          Alcotest.test_case "a torn mirror tail is cut back on boot" `Quick
+            torn_mirror_repaired;
         ] );
       ( "stream",
         [

@@ -561,6 +561,31 @@ let kill9_recovery () =
 (* ------------------------------------------------------------------ *)
 (* TCP accept loop                                                     *)
 
+(* Run [Net.serve] with [handle] on a thread and return the port it
+   bound.  The listener lives as long as the test process. *)
+let listen handle =
+  let m = Mutex.create () and cv = Condition.create () and bound = ref 0 in
+  ignore
+    (Thread.create
+       (fun () ->
+         try
+           Service.Net.serve ~host:"127.0.0.1" ~port:0
+             ~on_listen:(fun port ->
+               Mutex.lock m;
+               bound := port;
+               Condition.signal cv;
+               Mutex.unlock m)
+             handle
+         with _ -> ())
+       ());
+  Mutex.lock m;
+  while !bound = 0 do
+    Condition.wait cv m
+  done;
+  let port = !bound in
+  Mutex.unlock m;
+  port
+
 (* Hundreds of short connections back to back on one listener, from a
    few clients at once: ping, read the pong, close, reconnect at once.
    Each accepted descriptor must be closed exactly once: a second close
@@ -570,25 +595,7 @@ let kill9_recovery () =
 let tcp_reconnect_storm () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let server = Service.Server.create ~workers:1 () in
-  let m = Mutex.create () and cv = Condition.create () and bound = ref 0 in
-  ignore
-    (Thread.create
-       (fun () ->
-         try
-           Service.Server.serve_tcp server ~host:"127.0.0.1" ~port:0
-             ~on_listen:(fun port ->
-               Mutex.lock m;
-               bound := port;
-               Condition.signal cv;
-               Mutex.unlock m)
-         with _ -> ())
-       ());
-  Mutex.lock m;
-  while !bound = 0 do
-    Condition.wait cv m
-  done;
-  let port = !bound in
-  Mutex.unlock m;
+  let port = listen (Service.Server.serve_channels server) in
   let clients = 4 and per_client = 100 in
   let answered = Atomic.make 0 in
   let client () =
@@ -612,6 +619,29 @@ let tcp_reconnect_storm () =
   Alcotest.(check int) "every ping answered" (clients * per_client)
     (Atomic.get answered);
   Service.Server.stop server
+
+(* Every exchange is one request line and one answer line, so neither
+   end may hold a short write back for Nagle's algorithm: the accepted
+   descriptor has TCP_NODELAY before the handler sees it, and so does
+   the one Net.connect returns. *)
+let accepted_nodelay () =
+  let port =
+    listen (fun ic oc ->
+        let on = Unix.getsockopt (Unix.descr_of_in_channel ic) Unix.TCP_NODELAY in
+        Printf.fprintf oc "%b\n%!" on)
+  in
+  let fd = Service.Net.connect ~host:"127.0.0.1" ~port in
+  let ic = Unix.in_channel_of_descr fd in
+  Alcotest.(check string) "TCP_NODELAY on the accepted socket" "true"
+    (input_line ic);
+  close_in ic
+
+let connected_nodelay () =
+  let port = listen (fun ic _ -> ignore (input_line ic)) in
+  let fd = Service.Net.connect ~host:"127.0.0.1" ~port in
+  Alcotest.(check bool) "TCP_NODELAY on the connected socket" true
+    (Unix.getsockopt fd Unix.TCP_NODELAY);
+  Unix.close fd
 
 (* ------------------------------------------------------------------ *)
 (* Primary failover: kill -9 the primary, promote the hot standby      *)
@@ -905,5 +935,9 @@ let () =
           Alcotest.test_case "stdio end-to-end smoke" `Quick stdio_smoke;
           Alcotest.test_case "back-to-back TCP connections all answered"
             `Quick tcp_reconnect_storm;
+          Alcotest.test_case "accepted sockets have TCP_NODELAY" `Quick
+            accepted_nodelay;
+          Alcotest.test_case "connected sockets have TCP_NODELAY" `Quick
+            connected_nodelay;
         ] );
     ]
