@@ -799,7 +799,7 @@ let client_cmd =
           | Ok d -> d
           | Error msg -> failwith msg
         in
-        Service.Request.Prepare
+        Service.Request.prepare
           {
             Service.Request.ratio;
             demand;

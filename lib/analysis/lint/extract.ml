@@ -508,6 +508,11 @@ let collect_top_ids unit_name str =
         match item.str_desc with
         | Tstr_value (_, vbs) ->
           List.iter (fun vb -> pat_vars prefix vb.vb_pat) vbs
+        (* An [external] is a runtime primitive: a call to it is a
+           call to a known global, never to a caller-supplied
+           function. *)
+        | Tstr_primitive vd ->
+          Hashtbl.replace tbl vd.val_id (prefix ^ Ident.name vd.val_id)
         | Tstr_module mb -> sub prefix mb
         | Tstr_recmodule mbs -> List.iter (sub prefix) mbs
         | _ -> ())

@@ -67,6 +67,18 @@ let pcr16 =
 
 let all = pcr16 :: table2
 
+(* [String.lowercase_ascii a = String.lowercase_ascii b], without
+   building either: every request's ratio is looked up here first. *)
+let equal_ci a b =
+  let n = String.length a in
+  n = String.length b
+  &&
+  let rec go i =
+    i = n
+    || Char.lowercase_ascii a.[i] = Char.lowercase_ascii b.[i] && go (i + 1)
+  in
+  go 0
+
 let find id =
-  let id = String.lowercase_ascii (String.trim id) in
-  List.find_opt (fun p -> String.lowercase_ascii p.id = id) all
+  let id = String.trim id in
+  List.find_opt (fun p -> equal_ci p.id id) all

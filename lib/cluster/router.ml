@@ -10,9 +10,11 @@
    Requests to different shards therefore proceed concurrently while
    each client still sees responses in the order it asked.
 
-   Prepare requests are forwarded as raw bytes — the router parses just
-   enough of the line to compute the coalesce key and never re-encodes,
-   so the shard sees exactly what the client wrote (ids included).
+   Prepare requests are forwarded as raw bytes — the router decodes the
+   line once with the daemon's decoder (Request.decode), which yields
+   the spec and its coalesce key without building a tree, and never
+   re-encodes, so the shard sees exactly what the client wrote (ids
+   included).
    Ping and the [route] placement diagnostic are answered locally;
    stats fans out to every shard (and every follower) and merges
    deterministically (Cluster.Stats).  A dead shard turns into error
@@ -70,9 +72,11 @@ let followers t =
     (fun acc g -> if g.follower = None then acc else acc + 1)
     0 t.groups
 
-let route t spec =
-  let idx = Ring.lookup t.ring (Request.coalesce_key spec) in
+let placement t key =
+  let idx = Ring.lookup t.ring key in
   (idx, Ring.label t.ring idx)
+
+let route t spec = placement t (Request.coalesce_key spec)
 
 let close t =
   Array.iter
@@ -213,23 +217,26 @@ let stats_json t =
 (* ------------------------------------------------------------------ *)
 (* Per-connection proxy loop                                           *)
 
-let route_response_line ~id spec (idx, addr) =
+let route_response_line ~id ~key (idx, addr) =
   Jsonl.to_string
     (Jsonl.Obj
        ([ ("ok", Jsonl.Bool true); ("req", Jsonl.String "route") ]
        @ (match id with Some v -> [ ("id", v) ] | None -> [])
        @ [
-           ("key", Jsonl.String (Request.coalesce_key spec));
+           ("key", Jsonl.String key);
            ("shard", Jsonl.Int idx);
            ("addr", Jsonl.String addr);
          ]))
 
+(* The router reads a line with the daemon's own decoder, and answers
+   its own way: whatever [req] is not a string — or a value that is
+   not an object — is a missing [req]. *)
 let handle_line t push line =
-  match Jsonl.of_string line with
+  match Request.decode line with
   | Error msg -> push (`Ready (error_line ~id:None msg))
-  | Ok json -> (
-    let id = Jsonl.member "id" json in
-    match Option.bind (Jsonl.member "req" json) Jsonl.to_str with
+  | Ok decoded -> (
+    let id = Request.decoded_id decoded in
+    match Request.decoded_req decoded with
     | Some "ping" ->
       push
         (`Ready
@@ -241,14 +248,15 @@ let handle_line t push line =
       stats_fanout t (fun body ->
           slot_fill slot (stats_response_line ~id body))
     | Some "route" -> (
-      match Request.spec_of_json json with
-      | Ok spec -> push (`Ready (route_response_line ~id spec (route t spec)))
+      match Request.decoded_spec decoded with
+      | Ok (_, key) ->
+        push (`Ready (route_response_line ~id ~key (placement t key)))
       | Error msg -> push (`Ready (error_line ~id msg)))
     | Some "prepare" -> (
-      match Request.spec_of_json json with
+      match Request.decoded_spec decoded with
       | Error msg -> push (`Ready (error_line ~id msg))
-      | Ok spec ->
-        let idx, addr = route t spec in
+      | Ok (_, key) ->
+        let idx, addr = placement t key in
         let slot = slot_make () in
         push (`Slot slot);
         group_send t.groups.(idx) line (function

@@ -1,8 +1,17 @@
 type t = { parts : int array; d : int; names : string array }
 
-let default_names n = Array.init n (fun i -> Fluid.default_name (Fluid.make i))
+(* Names are immutable strings, so every ratio of up to [shared_names]
+   fluids takes its default names from one table instead of printing
+   them anew on every parse. *)
+let shared_names = 64
+let name_table = Array.init shared_names (fun i -> Fluid.default_name (Fluid.make i))
 
-let make ?names parts =
+let default_names n =
+  if n <= shared_names then Array.sub name_table 0 n
+  else Array.init n (fun i -> Fluid.default_name (Fluid.make i))
+
+(* [parts] and [names] are owned by the result: callers pass copies. *)
+let create ~names parts =
   let n = Array.length parts in
   if n < 2 then invalid_arg "Ratio.make: a mixture needs at least two fluids";
   Array.iter
@@ -17,18 +26,35 @@ let make ?names parts =
     | Some names ->
       if Array.length names <> n then
         invalid_arg "Ratio.make: names and parts lengths differ";
-      Array.copy names
+      names
   in
-  { parts = Array.copy parts; d = Binary.log2_exact sum; names }
+  { parts; d = Binary.log2_exact sum; names }
 
+let make ?names parts =
+  create ~names:(Option.map Array.copy names) (Array.copy parts)
+
+(* Fields are the ':'-separated pieces, parsed left to right; the
+   first one that is not an integer (surrounding blanks allowed) is
+   reported as written. *)
 let of_string s =
-  let fields = String.split_on_char ':' s in
-  let parse field =
-    match int_of_string_opt (String.trim field) with
-    | Some a -> a
-    | None -> invalid_arg ("Ratio.of_string: bad part " ^ field)
-  in
-  make (Array.of_list (List.map parse fields))
+  let n = String.length s in
+  let count = ref 1 in
+  String.iter (fun c -> if c = ':' then incr count) s;
+  let parts = Array.make !count 0 in
+  let start = ref 0 in
+  for i = 0 to !count - 1 do
+    let stop = ref !start in
+    while !stop < n && String.unsafe_get s !stop <> ':' do
+      incr stop
+    done;
+    let field = String.sub s !start (!stop - !start) in
+    (parts.(i) <-
+       match int_of_string (String.trim field) with
+       | a -> a
+       | exception Failure _ -> invalid_arg ("Ratio.of_string: bad part " ^ field));
+    start := !stop + 1
+  done;
+  create ~names:None parts
 
 let parts r = Array.copy r.parts
 

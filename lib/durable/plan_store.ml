@@ -152,7 +152,7 @@ let decode_prepared buf : (Service.Prep.prepared, string) result =
           else Ok None
         in
         Wire.expect_end r;
-        Ok { Service.Prep.summary; instr; plan; schedule }
+        Ok (Service.Prep.make ~summary ~instr ~plan ~schedule)
       end
     end
   with

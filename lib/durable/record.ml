@@ -3,7 +3,8 @@ type kind =
   | Completed of { spec : Service.Request.spec; requests : int; ok : bool }
 
 let spec_to_json spec =
-  Service.Request.to_json { Service.Request.id = None; kind = Prepare spec }
+  Service.Request.to_json
+    { Service.Request.id = None; kind = Service.Request.prepare spec }
 
 let fields ~seq kind =
   match kind with
@@ -45,7 +46,7 @@ let spec_of_json json =
   let ( let* ) = Result.bind in
   let* req = Service.Request.of_json json in
   match req.Service.Request.kind with
-  | Service.Request.Prepare spec -> Ok spec
+  | Service.Request.Prepare { spec; _ } -> Ok spec
   | _ -> Error "record spec must be a prepare request"
 
 let decode line =

@@ -26,7 +26,14 @@ let strict = { every_n = 1; every_ms = 0. }
    [sync] (used by rotate, close and snapshots, which run under the
    manager's lock) never parks on the condvar: it issues its own fsync
    regardless of an in-flight leader — a redundant fsync is harmless,
-   a condvar wait under a foreign lock is not. *)
+   a condvar wait under a foreign lock is not.
+
+   A failed fsync is fatal (after one, the kernel may have dropped the
+   dirty pages, so a retry that succeeds proves nothing): the gate is
+   released, the error is kept in [failed] and broadcast to every
+   parked committer, and from then on [commit] and [sync] raise it
+   without touching the disk again.  Recovery replays what did reach
+   the disk. *)
 
 type t = {
   dir : string;
@@ -41,6 +48,7 @@ type t = {
   mutable synced_upto : int;  (* highest seq an fsync covers *)
   mutable sync_in_flight : bool;
   mutable fd_closed : bool;
+  mutable failed : exn option;  (* the first fsync error, for good *)
   mutable last_sync : float;
   mutable fsyncs : int;
   mutable group_commits : int;
@@ -101,6 +109,7 @@ let open_segment ~dir ~start_seq ~fsync =
     synced_upto = start_seq - 1;
     sync_in_flight = false;
     fd_closed = false;
+    failed = None;
     last_sync = Unix.gettimeofday ();
     fsyncs = 0;
     group_commits = 0;
@@ -135,10 +144,17 @@ let sync_due t =
   Mutex.unlock t.q_lock;
   due_count || due_time
 
+(* The gate is released on every path; an error is returned, not
+   raised, so the caller records it under [q_lock] first. *)
 let fsync_gated t =
   Mutex.lock t.fsync_gate;
-  if not t.fd_closed then Unix.fsync t.fd;
-  Mutex.unlock t.fsync_gate
+  let outcome =
+    match if not t.fd_closed then Unix.fsync t.fd with
+    | () -> None
+    | exception e -> Some e
+  in
+  Mutex.unlock t.fsync_gate;
+  outcome
 [@@dmflint.allow
   "blocking-under-lock: fsync_gate exists precisely to order this \
    fsync before rotate/close swaps or closes the descriptor; it is \
@@ -156,38 +172,55 @@ let record_sync t ~target ~group =
   t.last_sync <- Unix.gettimeofday ();
   Condition.broadcast t.q_done
 
+(* Under [q_lock]: the first failure is the one every later caller
+   sees; parked committers wake to it. *)
+let record_failure t e =
+  (match t.failed with None -> t.failed <- Some e | Some _ -> ());
+  Condition.broadcast t.q_done
+
 let commit t ~upto =
   Mutex.lock t.q_lock;
   let rec settle () =
-    if t.synced_upto >= upto then ()
-    else if t.sync_in_flight then begin
-      Condition.wait t.q_done t.q_lock;
-      settle ()
-    end
-    else begin
-      t.sync_in_flight <- true;
-      let target = t.appended_upto in
-      Mutex.unlock t.q_lock;
-      fsync_gated t;
-      Mutex.lock t.q_lock;
-      t.sync_in_flight <- false;
-      record_sync t ~target ~group:true;
-      settle ()
-    end
+    match t.failed with
+    | Some e -> Some e
+    | None ->
+      if t.synced_upto >= upto then None
+      else if t.sync_in_flight then begin
+        Condition.wait t.q_done t.q_lock;
+        settle ()
+      end
+      else begin
+        t.sync_in_flight <- true;
+        let target = t.appended_upto in
+        Mutex.unlock t.q_lock;
+        let outcome = fsync_gated t in
+        Mutex.lock t.q_lock;
+        t.sync_in_flight <- false;
+        (match outcome with
+        | None -> record_sync t ~target ~group:true
+        | Some e -> record_failure t e);
+        settle ()
+      end
   in
-  settle ();
-  Mutex.unlock t.q_lock
+  let failed = settle () in
+  Mutex.unlock t.q_lock;
+  Option.iter raise failed
 
 let sync t =
   Mutex.lock t.q_lock;
+  let failed = t.failed in
   let target = t.appended_upto in
   let dirty = target > t.synced_upto in
   Mutex.unlock t.q_lock;
+  Option.iter raise failed;
   if dirty then begin
-    fsync_gated t;
+    let outcome = fsync_gated t in
     Mutex.lock t.q_lock;
-    record_sync t ~target ~group:false;
-    Mutex.unlock t.q_lock
+    (match outcome with
+    | None -> record_sync t ~target ~group:false
+    | Some e -> record_failure t e);
+    Mutex.unlock t.q_lock;
+    Option.iter raise outcome
   end
 
 let rotate t =
@@ -201,14 +234,15 @@ let rotate t =
   Mutex.unlock t.q_lock
 
 let close t =
-  sync t;
+  let synced = match sync t with () -> None | exception e -> Some e in
   Mutex.lock t.fsync_gate;
   t.fd_closed <- true;
   Unix.close t.fd;
   Mutex.unlock t.fsync_gate;
   Mutex.lock t.q_lock;
   Condition.broadcast t.q_done;
-  Mutex.unlock t.q_lock
+  Mutex.unlock t.q_lock;
+  Option.iter raise synced
 
 let next_seq t = t.next_seq
 let appends t = t.appends

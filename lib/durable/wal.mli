@@ -20,7 +20,13 @@
 
     {!append} must still be serialized by the caller ({!Manager}'s
     lock — appends assign sequence numbers and interleave bytes);
-    {!commit}, {!sync} and the counters are safe from any thread. *)
+    {!commit}, {!sync} and the counters are safe from any thread.
+
+    A failed fsync fails the WAL for good: the error is raised to the
+    committer that led it and to every committer parked on it, and
+    every later {!commit} and {!sync} raises it again without another
+    fsync ({!rotate} and {!close} too, [close] after closing the
+    segment).  Nothing ever waits on a failed WAL. *)
 
 type fsync_policy = { every_n : int; every_ms : float }
 
@@ -47,12 +53,14 @@ val sync_due : t -> bool
 val commit : t -> upto:int -> unit
 (** Park until an fsync covers sequence number [upto], leading the
     group fsync if no sync is in flight.  Must be called with no locks
-    held. *)
+    held.
+    @raise the fsync's exception once the WAL has failed. *)
 
 val sync : t -> unit
 (** Force an fsync of any unsynced appends now, without parking on the
     commit queue (safe under the manager's lock; rotate, close and
-    snapshots use this). *)
+    snapshots use this).
+    @raise the fsync's exception once the WAL has failed. *)
 
 val rotate : t -> unit
 (** Sync and close the current segment, then open a fresh one starting

@@ -602,10 +602,12 @@ let promoted_server t = locked t (fun () -> Option.map (fun p -> p.server) t.pro
 (* ------------------------------------------------------------------ *)
 (* Serving                                                             *)
 
-let write_json oc json =
-  output_string oc (Jsonl.to_string json);
+let write_line oc line =
+  output_string oc line;
   output_char oc '\n';
   flush oc
+
+let write_json oc json = write_line oc (Jsonl.to_string json)
 
 let count_response t resp =
   locked t (fun () ->
@@ -614,100 +616,93 @@ let count_response t resp =
 
 let respond t oc resp =
   count_response t resp;
-  write_json oc (Response.to_json resp)
+  write_line oc (Response.to_line resp)
 
 let with_id ~id fields =
   fields @ (match id with Some v -> [ ("id", v) ] | None -> [])
 
-(* One pre-promotion request line.  Returns [`Delegate server] when a
-   promote request just turned this node into a primary: the rest of
-   the connection's stream gets full service. *)
+let error ~id msg = { Response.id; elapsed_ms = None; body = Response.Error msg }
+
+(* One pre-promotion request line, read with the daemon's decoder.
+   Returns [`Delegate server] when a promote request just turned this
+   node into a primary: the rest of the connection's stream gets full
+   service. *)
 let handle_line t oc line =
   if String.trim line = "" then `Continue
-  else begin
-    let json = Jsonl.of_string line in
-    let id =
-      match json with Ok j -> Jsonl.member "id" j | Error _ -> None
-    in
-    let req =
-      match json with
-      | Ok j -> Option.bind (Jsonl.member "req" j) Jsonl.to_str
-      | Error _ -> None
-    in
-    match req with
-    | Some "promote" ->
-      let p = do_promote t in
-      locked t (fun () -> t.served <- t.served + 1);
-      write_json oc
-        (Jsonl.Obj
-           (with_id ~id
-              [
-                ("ok", Jsonl.Bool true);
-                ("req", Jsonl.String "promote");
-                ("replayed", Jsonl.Int p.recovery.Replay.replayed);
-                ("last_seq", Jsonl.Int p.at_seq);
-              ]));
-      `Delegate p.server
-    | Some "route" ->
-      (match Request.spec_of_json (Result.get_ok json) with
-      | Ok spec ->
+  else
+    match Request.decode line with
+    | Error msg ->
+      respond t oc (error ~id:None msg);
+      `Continue
+    | Ok decoded -> (
+      let id = Request.decoded_id decoded in
+      match Request.decoded_req decoded with
+      | Some "promote" ->
+        let p = do_promote t in
         locked t (fun () -> t.served <- t.served + 1);
         write_json oc
           (Jsonl.Obj
              (with_id ~id
                 [
                   ("ok", Jsonl.Bool true);
-                  ("req", Jsonl.String "route");
-                  ("key", Jsonl.String (Request.coalesce_key spec));
-                  ("cache_key", Jsonl.String (Request.cache_key spec));
-                  ( "cached",
-                    Jsonl.Bool
-                      (Cache.peek t.cache (Request.cache_key spec) <> None) );
-                  ("role", Jsonl.String "follower");
-                ]))
-      | Error msg ->
-        respond t oc { Response.id; elapsed_ms = None; body = Response.Error msg });
-      `Continue
-    | _ ->
-      (match Request.of_line line with
-      | Error msg ->
-        respond t oc { Response.id; elapsed_ms = None; body = Response.Error msg }
-      | Ok { Request.id; kind = Request.Ping } ->
-        respond t oc { Response.id; elapsed_ms = None; body = Response.Pong }
-      | Ok { Request.id; kind = Request.Stats } ->
-        respond t oc
-          { Response.id; elapsed_ms = None; body = Response.Stats (stats t) }
-      | Ok { Request.id; kind = Request.Prepare spec } -> (
-        let t0 = Unix.gettimeofday () in
-        match Cache.find t.cache (Request.cache_key spec) with
-        | Some prepared ->
+                  ("req", Jsonl.String "promote");
+                  ("replayed", Jsonl.Int p.recovery.Replay.replayed);
+                  ("last_seq", Jsonl.Int p.at_seq);
+                ]));
+        `Delegate p.server
+      | Some "route" ->
+        (match Request.decoded_spec decoded with
+        | Ok (spec, key) ->
+          let cache_key = Request.cache_key_of ~coalesce:key spec.Request.demand in
+          locked t (fun () -> t.served <- t.served + 1);
+          write_json oc
+            (Jsonl.Obj
+               (with_id ~id
+                  [
+                    ("ok", Jsonl.Bool true);
+                    ("req", Jsonl.String "route");
+                    ("key", Jsonl.String key);
+                    ("cache_key", Jsonl.String cache_key);
+                    ("cached", Jsonl.Bool (Cache.peek t.cache cache_key <> None));
+                    ("role", Jsonl.String "follower");
+                  ]))
+        | Error msg -> respond t oc (error ~id msg));
+        `Continue
+      | _ ->
+        (match Request.of_decoded decoded with
+        | Error msg -> respond t oc (error ~id msg)
+        | Ok { Request.id; kind = Request.Ping } ->
+          respond t oc { Response.id; elapsed_ms = None; body = Response.Pong }
+        | Ok { Request.id; kind = Request.Stats } ->
           respond t oc
-            {
-              Response.id;
-              elapsed_ms = Some ((Unix.gettimeofday () -. t0) *. 1000.);
-              body =
-                Response.Schedule
-                  {
-                    summary = prepared.Prep.summary;
-                    demand = spec.Request.demand;
-                    batch_demand = spec.Request.demand;
-                    coalesced = 1;
-                    cache_hit = true;
-                    instr = Some prepared.Prep.instr;
-                  };
-            }
-        | None ->
-          respond t oc
-            {
-              Response.id;
-              elapsed_ms = None;
-              body =
-                Response.Error
-                  "read-only follower: plan not cached (send writes to the \
-                   primary, or promote this node)";
-            }));
-      `Continue
-  end
+            { Response.id; elapsed_ms = None; body = Response.Stats (stats t) }
+        | Ok { Request.id; kind = Request.Prepare { spec; key } } -> (
+          let t0 = Unix.gettimeofday () in
+          match
+            Cache.find t.cache
+              (Request.cache_key_of ~coalesce:key spec.Request.demand)
+          with
+          | Some prepared ->
+            respond t oc
+              {
+                Response.id;
+                elapsed_ms = Some ((Unix.gettimeofday () -. t0) *. 1000.);
+                body =
+                  Response.Schedule
+                    {
+                      answer = prepared.Prep.answer;
+                      demand = spec.Request.demand;
+                      batch_demand = spec.Request.demand;
+                      coalesced = 1;
+                      cache_hit = true;
+                    };
+              }
+          | None ->
+            respond t oc
+              (error ~id
+                 "read-only follower: plan not cached (send writes to the \
+                  primary, or promote this node)")));
+        `Continue)
 
 let serve_channels t ic oc =
   let rec loop () =

@@ -3,9 +3,13 @@
    evict).  One mutex guards the whole structure — operations are a few
    pointer swaps, so a finer scheme would buy nothing. *)
 
+(* A hit allocates nothing: each node carries the [Some] cells a hit
+   hands out ([found]) and relinks with ([self]). *)
 type 'v node = {
   key : string;
   mutable value : 'v;
+  mutable found : 'v option;  (* [Some value] *)
+  mutable self : 'v node option;  (* [Some] of this node *)
   mutable prev : 'v node option;  (* towards the head (more recent) *)
   mutable next : 'v node option;  (* towards the tail (less recent) *)
 }
@@ -58,20 +62,26 @@ let unlink t n =
 let push_front t n =
   n.next <- t.head;
   n.prev <- None;
-  (match t.head with Some h -> h.prev <- Some n | None -> t.tail <- Some n);
-  t.head <- Some n
+  (match t.head with Some h -> h.prev <- n.self | None -> t.tail <- n.self);
+  t.head <- n.self
 
+(* No [locked] closure and no [find_opt] cell on the serving path;
+   nothing between lock and unlock can raise. *)
 let find (t : 'v t) key =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.table key with
-      | Some n ->
-        t.hits <- t.hits + 1;
-        unlink t n;
-        push_front t n;
-        Some n.value
-      | None ->
-        t.misses <- t.misses + 1;
-        None)
+  Mutex.lock t.lock;
+  let found =
+    match Hashtbl.find t.table key with
+    | n ->
+      t.hits <- t.hits + 1;
+      unlink t n;
+      push_front t n;
+      n.found
+    | exception Not_found ->
+      t.misses <- t.misses + 1;
+      None
+  in
+  Mutex.unlock t.lock;
+  found
 
 let evict_tail (t : 'v t) =
   match t.tail with
@@ -87,10 +97,14 @@ let add (t : 'v t) key value =
         (match Hashtbl.find_opt t.table key with
         | Some n ->
           n.value <- value;
+          n.found <- Some value;
           unlink t n;
           push_front t n
         | None ->
-          let n = { key; value; prev = None; next = None } in
+          let n =
+            { key; value; found = Some value; self = None; prev = None; next = None }
+          in
+          n.self <- Some n;
           Hashtbl.replace t.table key n;
           push_front t n);
         while Hashtbl.length t.table > t.capacity do

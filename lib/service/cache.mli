@@ -1,11 +1,12 @@
 (** Bounded LRU plan cache.
 
-    The PR 1 memo caches inside {!Mdst.Forest} and {!Mdst.Engine} are
+    The memo tables inside {!Mdst.Forest} and {!Mdst.Engine} are
     unbounded reset-on-overflow tables keyed by ratio; a long-running
     server needs real eviction and observable counters instead.  Keys
     are the canonical request strings of {!Request.cache_key}; values
-    are whatever the owner reuses (prepared plans in the server, specs
-    in the durable recency model, which evicts through this same
+    are whatever the owner reuses (prepared plans in the server — each
+    with its answer bytes already encoded, see {!Prep.prepared} — and
+    specs in the durable recency model, which evicts through this same
     code).  All operations are mutex-guarded and safe across
     domains. *)
 
@@ -26,7 +27,8 @@ val create : capacity:int -> 'v t
 
 val find : 'v t -> string -> 'v option
 (** Lookup; counts a hit or a miss and, on a hit, marks the entry most
-    recently used. *)
+    recently used.  A hit allocates nothing: the [Some] it returns is
+    made once, when the value is added. *)
 
 val add : 'v t -> string -> 'v -> unit
 (** Insert (or overwrite) as most recently used, evicting the least

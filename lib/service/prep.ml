@@ -8,7 +8,11 @@ type prepared = {
   instr : Mdst.Instr.counters;
   plan : Mdst.Plan.t option;
   schedule : Mdst.Schedule.t option;
+  answer : Response.answer;
 }
+
+let make ~summary ~instr ~plan ~schedule =
+  { summary; instr; plan; schedule; answer = Response.answer summary (Some instr) }
 
 let run (spec : Request.spec) =
   let mixers = resolved_mixers spec in
@@ -25,12 +29,10 @@ let run (spec : Request.spec) =
           mixers = spec.Request.mixers;
         }
     in
-    {
-      summary = Response.summary_of_metrics result.Mdst.Engine.metrics;
-      instr = counters ();
-      plan = Some result.Mdst.Engine.plan;
-      schedule = Some result.Mdst.Engine.schedule;
-    }
+    make
+      ~summary:(Response.summary_of_metrics result.Mdst.Engine.metrics)
+      ~instr:(counters ()) ~plan:(Some result.Mdst.Engine.plan)
+      ~schedule:(Some result.Mdst.Engine.schedule)
   | Some storage_limit ->
     let r =
       Mdst.Streaming.run ~instr:hooks ~algorithm:spec.Request.algorithm
@@ -57,4 +59,4 @@ let run (spec : Request.spec) =
         within_limit = r.Mdst.Streaming.within_limit;
       }
     in
-    { summary; instr = counters (); plan = None; schedule = None }
+    make ~summary ~instr:(counters ()) ~plan:None ~schedule:None

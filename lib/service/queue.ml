@@ -61,18 +61,22 @@ let new_job key spec =
     result = None;
   }
 
-(* The admission hook runs under the queue lock, before any worker can
-   take the job: what it observes (e.g. what the WAL journals) is
+(* The admission hook runs under the queue lock, before the request
+   joins a job: what it observes (e.g. what the WAL journals) is
    exactly the admission order, and an admitted request is journaled
-   strictly before its job can complete. *)
-let admitted t (spec : Request.spec) quiet ticket =
-  (match t.on_admit with
-  | Some hook when not quiet -> hook spec
-  | Some _ | None -> ());
-  Ok ticket
+   strictly before its job can complete.  A hook that raises (a WAL
+   whose fsync failed) refuses the request, which then gets an error
+   answer instead of a job. *)
+let admit t (spec : Request.spec) quiet enter =
+  match
+    match t.on_admit with
+    | Some hook when not quiet -> hook spec
+    | Some _ | None -> ()
+  with
+  | () -> Ok (enter ())
+  | exception e -> Error ("request not admitted: " ^ Printexc.to_string e)
 
-let submit ?(quiet = false) t (spec : Request.spec) =
-  let key = Request.coalesce_key spec in
+let submit ?(quiet = false) t ~key (spec : Request.spec) =
   locked t (fun () ->
       if t.closed then Error "server is shutting down"
       else
@@ -81,14 +85,15 @@ let submit ?(quiet = false) t (spec : Request.spec) =
           when job.spec.Request.demand + spec.Request.demand
                <= Validate.max_demand ->
           (* Merge: sum the demand, remember our share. *)
-          job.spec <-
-            {
-              job.spec with
-              Request.demand = job.spec.Request.demand + spec.Request.demand;
-            };
-          job.requests <- job.requests + 1;
-          t.coalesced <- t.coalesced + 1;
-          admitted t spec quiet { job; my_demand = spec.Request.demand }
+          admit t spec quiet (fun () ->
+              job.spec <-
+                {
+                  job.spec with
+                  Request.demand = job.spec.Request.demand + spec.Request.demand;
+                };
+              job.requests <- job.requests + 1;
+              t.coalesced <- t.coalesced + 1;
+              { job; my_demand = spec.Request.demand })
         | Some _ | None ->
           (* New pending job; block while the queue is full. *)
           let rec wait_for_room () =
@@ -97,16 +102,16 @@ let submit ?(quiet = false) t (spec : Request.spec) =
               Condition.wait t.not_full t.lock;
               wait_for_room ()
             end
-            else begin
-              let job = new_job key spec in
-              Stdlib.Queue.push job t.pending;
-              (* A fuller batch may already exist under this key when the
-                 merge above hit the demand cap; the newest pending job
-                 is the one later requests coalesce into. *)
-              Hashtbl.replace t.by_key key job;
-              Condition.signal t.not_empty;
-              admitted t spec quiet { job; my_demand = spec.Request.demand }
-            end
+            else
+              admit t spec quiet (fun () ->
+                  let job = new_job key spec in
+                  Stdlib.Queue.push job t.pending;
+                  (* A fuller batch may already exist under this key when
+                     the merge above hit the demand cap; the newest pending
+                     job is the one later requests coalesce into. *)
+                  Hashtbl.replace t.by_key key job;
+                  Condition.signal t.not_empty;
+                  { job; my_demand = spec.Request.demand })
           in
           wait_for_room ())
 [@@dmflint.allow
@@ -114,7 +119,7 @@ let submit ?(quiet = false) t (spec : Request.spec) =
    queue lock so it observes exact admission order (the WAL journals \
    an accepted request strictly before its job can complete); the \
    hook's contract is non-blocking and lock-free, see the comment on \
-   [admitted]"]
+   [admit]"]
 
 let take t =
   locked t (fun () ->
@@ -139,6 +144,7 @@ let take t =
       wait_for_job ())
 
 let job_spec job = job.spec
+let job_key job = job.key
 let job_requests job = job.requests
 
 let fulfil job result =

@@ -39,17 +39,21 @@ val create : ?on_admit:(Request.spec -> unit) -> capacity:int -> unit -> t
     merge or fresh job alike — under the queue lock, so calls happen in
     admission order and strictly before any worker can complete the
     request's job.  The write-ahead log hangs its accepted-record hook
-    here; it must not call back into the queue.
+    here; it must not call back into the queue.  If it raises, the
+    request is refused rather than admitted.
     @raise Invalid_argument if [capacity < 1]. *)
 
-val submit : ?quiet:bool -> t -> Request.spec -> (ticket, string) result
-(** Admit a request: merge into the pending job with the same coalesce
-    key, or enqueue a new job (blocking while the queue is full).
-    A merge that would push the batch demand over {!Validate.max_demand}
-    is not performed — the request is queued as its own fresh job
-    instead.  [quiet] (default [false]) suppresses the [on_admit] hook:
-    recovery resubmits journaled requests that were already accepted
-    once.  [Error] only after {!close}. *)
+val submit :
+  ?quiet:bool -> t -> key:string -> Request.spec -> (ticket, string) result
+(** Admit a request whose coalesce key is [key] ({!Request.coalesce_key},
+    as the request decoder returns it): merge into the pending job with
+    the same key, or enqueue a new job (blocking while the queue is
+    full).  A merge that would push the batch demand over
+    {!Validate.max_demand} is not performed — the request is queued as
+    its own fresh job instead.  [quiet] (default [false]) suppresses
+    the [on_admit] hook: recovery resubmits journaled requests that
+    were already accepted once.  [Error] after {!close}, or when the
+    [on_admit] hook raises (the request is then not admitted). *)
 
 val take : t -> job option
 (** Worker side: pop the oldest pending job, blocking while the queue is
@@ -58,6 +62,10 @@ val take : t -> job option
 
 val job_spec : job -> Request.spec
 (** The job's spec with the summed demand. *)
+
+val job_key : job -> string
+(** The job's coalesce key; its cache key is
+    [Request.cache_key_of ~coalesce:(job_key job) (job_spec job).demand]. *)
 
 val job_requests : job -> int
 (** How many requests coalesced into the job (>= 1). *)

@@ -14,7 +14,16 @@
     - [{"req": "ping"}] — liveness probe.
 
     [id] is any JSON value and is echoed verbatim in the response, so a
-    pipelining client can match answers to questions. *)
+    pipelining client can match answers to questions.  Only the first
+    binding of a member counts; unknown members are ignored.
+
+    One decoder serves every request line: {!decode} walks the line
+    once with {!Jsonl}'s lexer, keeping only the members a request can
+    carry and building no tree of the object, and the daemon, the
+    router and the follower read the request, its spec and its
+    coalesce key off the result.  {!of_json} (WAL records) fills the
+    same record from a tree, so both share one set of field checks and
+    error texts. *)
 
 type spec = {
   ratio : Dmf.Ratio.t;
@@ -27,7 +36,10 @@ type spec = {
           this storage budget instead of a single-pass schedule. *)
 }
 
-type kind = Prepare of spec | Stats | Ping
+type kind =
+  | Prepare of { spec : spec; key : string  (** [coalesce_key spec]. *) }
+  | Stats
+  | Ping
 
 type t = { id : Jsonl.t option; kind : kind }
 
@@ -36,20 +48,47 @@ val coalesce_key : spec -> string
     for the same (ratio, algorithm, scheduler, Mc, q') coalesce into one
     job with summed demand (the paper's demand aggregation). *)
 
+val cache_key_of : coalesce:string -> int -> string
+(** [cache_key_of ~coalesce d] is the plan-cache key of demand [d]
+    under coalesce key [coalesce]: the key plus ["|D=d"]. *)
+
 val cache_key : spec -> string
 (** {!coalesce_key} plus the demand — the plan-cache key. *)
 
-val spec_of_json : Jsonl.t -> (spec, string) result
-(** Decode and validate just the spec fields (ratio, D, algorithm,
-    scheduler, Mc, storage) of a request object, ignoring [req].  The
-    router uses this for its local [route] diagnostic, which carries the
-    same fields as a prepare but never reaches a shard. *)
+val prepare : spec -> kind
+(** [Prepare] with its coalesce key. *)
 
-val of_json : Jsonl.t -> (t, string) result
-(** Decode and validate (via {!Validate}) a request object. *)
+(** {2 Decoding} *)
+
+type decoded
+(** The first binding of each member a request can carry, and whether
+    the value was an object at all. *)
+
+val decode : string -> (decoded, string) result
+(** Decode one protocol line in one pass.  [Error] only for a line that
+    is not JSON, with {!Jsonl.of_string}'s exact message. *)
+
+val decoded_id : decoded -> Jsonl.t option
+(** The [id] to echo ([None] for a value that is not an object). *)
+
+val decoded_req : decoded -> string option
+(** The [req] member when it is a string. *)
+
+val decoded_spec : decoded -> (spec * string, string) result
+(** Validate the spec members (ratio, D, algorithm, scheduler, Mc,
+    storage) via {!Validate}, ignoring [req], and return the spec with
+    its coalesce key.  The router's [route] diagnostic carries the same
+    members as a prepare. *)
+
+val of_decoded : decoded -> (t, string) result
+(** The request a decoded line makes, or why it is rejected. *)
 
 val of_line : string -> (t, string) result
-(** Parse one protocol line: JSON decode then {!of_json}. *)
+(** [decode] then {!of_decoded}. *)
+
+val of_json : Jsonl.t -> (t, string) result
+(** Decode and validate a request object given as a tree, with the
+    checks and messages of {!of_line}. *)
 
 val to_json : t -> Jsonl.t
 (** Encode; [of_json (to_json r)] returns a request with an equal spec. *)

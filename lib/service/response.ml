@@ -43,14 +43,75 @@ type stats = {
   replication : Jsonl.t option;
 }
 
+(* The bytes of a schedule answer that depend on the plan alone, in
+   wire order around the per-answer members: [head] before "D",
+   [body] between "batch_D" and "coalesced", [instr] (with its leading
+   separator, or empty) after "cache_hit". *)
+type answer = { head : string; body : string; instr : string }
+
+let member buf key =
+  Buffer.add_string buf ", \"";
+  Buffer.add_string buf key;
+  Buffer.add_string buf "\": "
+
+let add_bool buf b = Buffer.add_string buf (if b then "true" else "false")
+
+let encoded f =
+  let buf = Buffer.create 128 in
+  f buf;
+  Buffer.contents buf
+
+let answer (s : summary) instr =
+  let int buf key v =
+    member buf key;
+    Jsonl.write_int buf v
+  in
+  let head =
+    encoded (fun buf ->
+        Buffer.add_string buf "\"scheme\": ";
+        Jsonl.write_string buf s.scheme;
+        int buf "Mc" s.mixers)
+  in
+  let body =
+    encoded (fun buf ->
+        Buffer.add_string buf "\"Tc\": ";
+        Jsonl.write_int buf s.tc;
+        int buf "q" s.q;
+        int buf "Tms" s.tms;
+        int buf "W" s.waste;
+        int buf "I" s.input_total;
+        int buf "trees" s.trees;
+        int buf "passes" s.passes;
+        member buf "within_limit";
+        add_bool buf s.within_limit)
+  in
+  let instr =
+    match instr with
+    | None -> ""
+    | Some c ->
+      encoded (fun buf ->
+          member buf "instr";
+          Buffer.add_char buf '{';
+          List.iteri
+            (fun i (k, v) ->
+              if i > 0 then Buffer.add_string buf ", ";
+              Jsonl.write_string buf k;
+              Buffer.add_string buf ": ";
+              if Float.is_integer v && Float.abs v < 1e15 then
+                Jsonl.write_int buf (int_of_float v)
+              else Jsonl.write_float buf v)
+            (Mdst.Instr.counters_to_fields c);
+          Buffer.add_char buf '}')
+  in
+  { head; body; instr }
+
 type body =
   | Schedule of {
-      summary : summary;
+      answer : answer;
       demand : int;
       batch_demand : int;
       coalesced : int;
       cache_hit : bool;
-      instr : Mdst.Instr.counters option;
     }
   | Pong
   | Stats of stats
@@ -60,85 +121,73 @@ type t = { id : Jsonl.t option; elapsed_ms : float option; body : body }
 
 let ok t = match t.body with Error _ -> false | _ -> true
 
-let req_name = function
-  | Schedule _ -> "prepare"
-  | Pong -> "ping"
-  | Stats _ -> "stats"
-  | Error _ -> "error"
+let stats_fields s =
+  [
+    ("queue_depth", Jsonl.Int s.queue_depth);
+    ("workers", Jsonl.Int s.workers);
+    ("served", Jsonl.Int s.served);
+    ("errors", Jsonl.Int s.errors);
+    ("coalesced", Jsonl.Int s.coalesced);
+    ("jobs", Jsonl.Int s.jobs);
+    ("plans_built", Jsonl.Int s.plans_built);
+    ( "cache",
+      Jsonl.Obj
+        [
+          ("hits", Jsonl.Int s.cache.Cache.hits);
+          ("misses", Jsonl.Int s.cache.Cache.misses);
+          ("evictions", Jsonl.Int s.cache.Cache.evictions);
+          ("size", Jsonl.Int s.cache.Cache.size);
+          ("capacity", Jsonl.Int s.cache.Cache.capacity);
+        ] );
+    ("avg_latency_ms", Jsonl.Float s.avg_latency_ms);
+    ("uptime_s", Jsonl.Float s.uptime_s);
+  ]
+  @ (match s.wal with Some w -> [ ("wal", w) ] | None -> [])
+  @ (match s.store with Some st -> [ ("plan_store", st) ] | None -> [])
+  @ match s.replication with Some r -> [ ("replication", r) ] | None -> []
 
-let to_json t =
-  let base =
-    [ ("ok", Jsonl.Bool (ok t)); ("req", Jsonl.String (req_name t.body)) ]
-  in
-  let id = match t.id with Some v -> [ ("id", v) ] | None -> [] in
-  let payload =
-    match t.body with
-    | Pong -> []
-    | Error msg -> [ ("error", Jsonl.String msg) ]
-    | Schedule { summary = s; demand; batch_demand; coalesced; cache_hit; instr }
-      ->
-      [
-        ("scheme", Jsonl.String s.scheme);
-        ("Mc", Jsonl.Int s.mixers);
-        ("D", Jsonl.Int demand);
-        ("batch_D", Jsonl.Int batch_demand);
-        ("Tc", Jsonl.Int s.tc);
-        ("q", Jsonl.Int s.q);
-        ("Tms", Jsonl.Int s.tms);
-        ("W", Jsonl.Int s.waste);
-        ("I", Jsonl.Int s.input_total);
-        ("trees", Jsonl.Int s.trees);
-        ("passes", Jsonl.Int s.passes);
-        ("within_limit", Jsonl.Bool s.within_limit);
-        ("coalesced", Jsonl.Int coalesced);
-        ("cache_hit", Jsonl.Bool cache_hit);
-      ]
-      @ (match instr with
-        | None -> []
-        | Some c ->
-          [
-            ( "instr",
-              Jsonl.Obj
-                (List.map
-                   (fun (k, v) ->
-                     ( k,
-                       if Float.is_integer v && Float.abs v < 1e15 then
-                         Jsonl.Int (int_of_float v)
-                       else Jsonl.Float v ))
-                   (Mdst.Instr.counters_to_fields c)) );
-          ])
-    | Stats s ->
-      [
-        ("queue_depth", Jsonl.Int s.queue_depth);
-        ("workers", Jsonl.Int s.workers);
-        ("served", Jsonl.Int s.served);
-        ("errors", Jsonl.Int s.errors);
-        ("coalesced", Jsonl.Int s.coalesced);
-        ("jobs", Jsonl.Int s.jobs);
-        ("plans_built", Jsonl.Int s.plans_built);
-        ( "cache",
-          Jsonl.Obj
-            [
-              ("hits", Jsonl.Int s.cache.Cache.hits);
-              ("misses", Jsonl.Int s.cache.Cache.misses);
-              ("evictions", Jsonl.Int s.cache.Cache.evictions);
-              ("size", Jsonl.Int s.cache.Cache.size);
-              ("capacity", Jsonl.Int s.cache.Cache.capacity);
-            ] );
-        ("avg_latency_ms", Jsonl.Float s.avg_latency_ms);
-        ("uptime_s", Jsonl.Float s.uptime_s);
-      ]
-      @ (match s.wal with Some w -> [ ("wal", w) ] | None -> [])
-      @ (match s.store with Some st -> [ ("plan_store", st) ] | None -> [])
-      @ (match s.replication with
-        | Some r -> [ ("replication", r) ]
-        | None -> [])
-  in
-  let elapsed =
-    match t.elapsed_ms with
-    | Some ms -> [ ("elapsed_ms", Jsonl.Float ms) ]
-    | None -> []
-  in
-  Jsonl.Obj (base @ id @ payload @ elapsed)
+let write buf t =
+  Buffer.add_string buf
+    (match t.body with
+    | Schedule _ -> "{\"ok\": true, \"req\": \"prepare\""
+    | Pong -> "{\"ok\": true, \"req\": \"ping\""
+    | Stats _ -> "{\"ok\": true, \"req\": \"stats\""
+    | Error _ -> "{\"ok\": false, \"req\": \"error\"");
+  (match t.id with
+  | Some v ->
+    member buf "id";
+    Jsonl.write buf v
+  | None -> ());
+  (match t.body with
+  | Pong -> ()
+  | Error msg ->
+    member buf "error";
+    Jsonl.write_string buf msg
+  | Schedule { answer; demand; batch_demand; coalesced; cache_hit } ->
+    Buffer.add_string buf ", ";
+    Buffer.add_string buf answer.head;
+    member buf "D";
+    Jsonl.write_int buf demand;
+    member buf "batch_D";
+    Jsonl.write_int buf batch_demand;
+    Buffer.add_string buf ", ";
+    Buffer.add_string buf answer.body;
+    member buf "coalesced";
+    Jsonl.write_int buf coalesced;
+    member buf "cache_hit";
+    add_bool buf cache_hit;
+    Buffer.add_string buf answer.instr
+  | Stats s ->
+    List.iter
+      (fun (k, v) ->
+        member buf k;
+        Jsonl.write buf v)
+      (stats_fields s));
+  (match t.elapsed_ms with
+  | Some ms ->
+    member buf "elapsed_ms";
+    Jsonl.write_float buf ms
+  | None -> ());
+  Buffer.add_char buf '}'
 
-let to_line t = Jsonl.to_string (to_json t)
+let to_line t = encoded (fun buf -> write buf t)

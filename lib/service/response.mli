@@ -52,16 +52,23 @@ type stats = {
           discipline as [wal]. *)
 }
 
+type answer
+(** The bytes of a schedule answer that depend on the plan alone —
+    [scheme] and [Mc], [Tc] through [within_limit], and the [instr]
+    object — encoded once per plan.  {!Prep} keeps them next to the
+    plan, so a cache hit encodes only its own members. *)
+
+val answer : summary -> Mdst.Instr.counters option -> answer
+(** Encode a plan's invariant answer bytes; [instr] becomes the nested
+    [instr] object (absent for [None]). *)
+
 type body =
   | Schedule of {
-      summary : summary;
+      answer : answer;
       demand : int;  (** This waiter's own demand. *)
       batch_demand : int;
       coalesced : int;  (** Requests answered by the same planning job. *)
       cache_hit : bool;
-      instr : Mdst.Instr.counters option;
-          (** Scheduler-core counters of the planning job (see
-              {!Mdst.Instr}), encoded as a nested [instr] object. *)
     }
   | Pong
   | Stats of stats
@@ -76,7 +83,15 @@ type t = {
 val ok : t -> bool
 (** [false] exactly for {!Error} bodies. *)
 
-val to_json : t -> Jsonl.t
+val write : Buffer.t -> t -> unit
+(** Append one protocol line (no newline).  The only encoder of
+    responses: a schedule answer splices its [id], [D], [batch_D],
+    [coalesced], [cache_hit] and [elapsed_ms] around its {!answer}
+    bytes; only a [stats] body goes through a {!Jsonl.t} tree.  The
+    members come in a fixed order — [ok], [req], [id], the body's,
+    [elapsed_ms] — and a tree encoding of the same fields in that
+    order prints the same bytes (test/ holds that encoding as the
+    oracle). *)
 
 val to_line : t -> string
-(** [to_string] of {!to_json} — one protocol line, no newline. *)
+(** {!write} into a fresh buffer. *)

@@ -41,7 +41,7 @@ let run_job cache counters on_complete store job =
   let spec = Queue.job_spec job in
   let coalesced = Queue.job_requests job in
   let batch_demand = spec.Request.demand in
-  let key = Request.cache_key spec in
+  let key = Request.cache_key_of ~coalesce:(Queue.job_key job) batch_demand in
   let result =
     match Cache.find cache key with
     | Some prepared ->
@@ -125,7 +125,11 @@ let prime t ~cache ~pending =
       { replanned = 0; from_store = 0 }
       cache
   in
-  List.iter (fun spec -> ignore (Queue.submit ~quiet:true t.queue spec)) pending;
+  List.iter
+    (fun spec ->
+      ignore
+        (Queue.submit ~quiet:true t.queue ~key:(Request.coalesce_key spec) spec))
+    pending;
   primed
 
 let stats t =
@@ -194,15 +198,21 @@ let response_of_ticket t ~id ~t0 ticket =
       body =
         Response.Schedule
           {
-            summary = outcome.Queue.prepared.Prep.summary;
+            answer = outcome.Queue.prepared.Prep.answer;
             demand = Queue.ticket_demand ticket;
             batch_demand = outcome.Queue.batch_demand;
             coalesced = outcome.Queue.coalesced;
             cache_hit = outcome.Queue.cache_hit;
-            instr = Some outcome.Queue.prepared.Prep.instr;
           };
     }
   | Error msg -> { Response.id; elapsed_ms = None; body = Response.Error msg }
+
+(* Bytes kept per connection for encoding answers: a schedule answer
+   fits, and a larger one (stats) grows the buffer only until it is
+   written. *)
+let line_buffer_bytes = 1024
+
+let error ~id msg = Ready { Response.id; elapsed_ms = None; body = Response.Error msg }
 
 let serve_channels t ic oc =
   let fifo = Stdlib.Queue.create () in
@@ -235,6 +245,7 @@ let serve_channels t ic oc =
     wait ()
   in
   let writer () =
+    let buf = Buffer.create line_buffer_bytes in
     let rec loop () =
       match next () with
       | None -> ()
@@ -248,9 +259,12 @@ let serve_channels t ic oc =
         with_counters t.counters (fun c ->
             c.served <- c.served + 1;
             if not (Response.ok response) then c.errors <- c.errors + 1);
-        output_string oc (Response.to_line response);
-        output_char oc '\n';
+        Response.write buf response;
+        Buffer.add_char buf '\n';
+        Buffer.output_buffer oc buf;
         flush oc;
+        if Buffer.length buf > line_buffer_bytes then Buffer.reset buf
+        else Buffer.clear buf;
         loop ()
     in
     loop ()
@@ -262,43 +276,37 @@ let serve_channels t ic oc =
     | Jsonl.Oversized n ->
       (* The line was discarded unread, so there is no id to echo. *)
       push
-        (Ready
-           {
-             Response.id = None;
-             elapsed_ms = None;
-             body =
-               Response.Error
-                 (Printf.sprintf "request line of %d bytes exceeds the %d byte limit"
-                    n Jsonl.max_line_bytes);
-           });
+        (error ~id:None
+           (Printf.sprintf "request line of %d bytes exceeds the %d byte limit"
+              n Jsonl.max_line_bytes));
       read_loop ()
     | Jsonl.Line line | Jsonl.Tail line ->
       begin
         if String.trim line <> "" then
-          match Request.of_line line with
-          | Error msg ->
-            (* Echo the id even for a rejected request, so a pipelining
-               client can still match the error to its question. *)
-            let id =
-              match Jsonl.of_string line with
-              | Ok json -> Jsonl.member "id" json
-              | Error _ -> None
-            in
-            push (Ready { Response.id; elapsed_ms = None; body = Response.Error msg })
-          | Ok { Request.id; kind = Request.Ping } ->
-            push (Ready { Response.id; elapsed_ms = None; body = Response.Pong })
-          | Ok { Request.id; kind = Request.Stats } ->
-            push
-              (Thunk
-                 (fun () ->
-                   { Response.id; elapsed_ms = None; body = Response.Stats (stats t) }))
-          | Ok { Request.id; kind = Request.Prepare spec } -> (
-            let t0 = Unix.gettimeofday () in
-            match Queue.submit t.queue spec with
-            | Ok ticket -> push (Pending { ticket; id; t0 })
+          match Request.decode line with
+          | Error msg -> push (error ~id:None msg)
+          | Ok decoded -> (
+            match Request.of_decoded decoded with
             | Error msg ->
+              (* Echo the id even for a rejected request, so a pipelining
+                 client can still match the error to its question. *)
+              push (error ~id:(Request.decoded_id decoded) msg)
+            | Ok { Request.id; kind = Request.Ping } ->
+              push (Ready { Response.id; elapsed_ms = None; body = Response.Pong })
+            | Ok { Request.id; kind = Request.Stats } ->
               push
-                (Ready { Response.id; elapsed_ms = None; body = Response.Error msg }))
+                (Thunk
+                   (fun () ->
+                     {
+                       Response.id;
+                       elapsed_ms = None;
+                       body = Response.Stats (stats t);
+                     }))
+            | Ok { Request.id; kind = Request.Prepare { spec; key } } -> (
+              let t0 = Unix.gettimeofday () in
+              match Queue.submit t.queue ~key spec with
+              | Ok ticket -> push (Pending { ticket; id; t0 })
+              | Error msg -> push (error ~id msg)))
       end;
       read_loop ()
   in

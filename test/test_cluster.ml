@@ -41,12 +41,13 @@ let key_stability =
   Generators.qtest "coalesce/cache key stable across re-encoding" spec_gen
     spec_print (fun spec ->
       let request =
-        { Service.Request.id = None; kind = Service.Request.Prepare spec }
+        { Service.Request.id = None; kind = Service.Request.prepare spec }
       in
       let line = Service.Jsonl.to_string (Service.Request.to_json request) in
       match Service.Request.of_line line with
-      | Ok { Service.Request.kind = Service.Request.Prepare spec'; _ } ->
-        String.equal
+      | Ok { Service.Request.kind = Service.Request.Prepare { spec = spec'; key }; _ } ->
+        String.equal (Service.Request.coalesce_key spec) key
+        && String.equal
           (Service.Request.coalesce_key spec)
           (Service.Request.coalesce_key spec')
         && String.equal

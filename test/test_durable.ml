@@ -395,6 +395,65 @@ let group_commit_concurrent () =
         (threads * per_thread) stats.Durable.Replay.replayed;
       Durable.Manager.close manager)
 
+(* Run [f] on its own thread; [None] if it has not returned within
+   [seconds] (the thread is then left parked). *)
+let within seconds f =
+  let m = Mutex.create () in
+  let result = ref None in
+  ignore
+    (Thread.create
+       (fun () ->
+         let r = match f () with () -> Ok () | exception e -> Error e in
+         Mutex.protect m (fun () -> result := Some r))
+       ());
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec poll () =
+    match Mutex.protect m (fun () -> !result) with
+    | Some r -> Some r
+    | None when Unix.gettimeofday () > deadline -> None
+    | None ->
+      Thread.delay 0.01;
+      poll ()
+  in
+  poll ()
+
+(* One failed fsync must fail the WAL, not wedge it: every later
+   commit, sync, rotate and close raises within the bound instead of
+   parking on a gate the failed leader still holds.  The fault is the
+   kernel's own: the segment path is a FIFO, whose fsync fails with
+   EINVAL. *)
+let failed_fsync_fails_fast () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir (Durable.Wal.segment_name 1) in
+      Unix.mkfifo path 0o644;
+      (* A reader, so opening the FIFO for writing does not block. *)
+      let reader = Unix.openfile path [ Unix.O_RDONLY; Unix.O_NONBLOCK ] 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close reader)
+        (fun () ->
+          let wal =
+            Durable.Wal.open_segment ~dir ~start_seq:1 ~fsync:Durable.Wal.strict
+          in
+          let kind = List.hd sample_kinds in
+          let expect_failure what = function
+            | None -> Alcotest.failf "%s after a failed fsync hung" what
+            | Some (Ok ()) ->
+              Alcotest.failf "%s after a failed fsync succeeded" what
+            | Some (Error (Unix.Unix_error (Unix.EINVAL, "fsync", _))) -> ()
+            | Some (Error e) ->
+              Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+          in
+          let seq = Durable.Wal.append wal kind in
+          expect_failure "the first commit"
+            (within 2. (fun () -> Durable.Wal.commit wal ~upto:seq));
+          let seq = Durable.Wal.append wal kind in
+          expect_failure "a later commit"
+            (within 2. (fun () -> Durable.Wal.commit wal ~upto:seq));
+          expect_failure "sync" (within 2. (fun () -> Durable.Wal.sync wal));
+          expect_failure "rotate" (within 2. (fun () -> Durable.Wal.rotate wal));
+          expect_failure "close" (within 2. (fun () -> Durable.Wal.close wal));
+          Alcotest.(check int) "no fsync counted" 0 (Durable.Wal.fsyncs wal)))
+
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)
 
@@ -844,6 +903,8 @@ let () =
             `Quick group_commit_counters;
           Alcotest.test_case "concurrent strict journaling stays durable"
             `Quick group_commit_concurrent;
+          Alcotest.test_case "a failed fsync fails the WAL, never wedges it"
+            `Quick failed_fsync_fails_fast;
         ] );
       ( "snapshot",
         [

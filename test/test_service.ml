@@ -66,10 +66,15 @@ let prop_request_roundtrip =
   Generators.qtest ~count:300 "Request round-trips through its JSON encoding"
     spec_gen spec_print (fun spec ->
       let request =
-        { Service.Request.id = Some (Service.Jsonl.Int 42); kind = Prepare spec }
+        { Service.Request.id = Some (Service.Jsonl.Int 42);
+          kind = Service.Request.prepare spec }
       in
       match Service.Request.of_json (Service.Request.to_json request) with
-      | Ok { Service.Request.id = Some (Service.Jsonl.Int 42); kind = Prepare spec' } ->
+      | Ok
+          {
+            Service.Request.id = Some (Service.Jsonl.Int 42);
+            kind = Prepare { spec = spec'; _ };
+          } ->
         Service.Request.cache_key spec = Service.Request.cache_key spec'
         && Dmf.Ratio.equal spec.Service.Request.ratio
              spec'.Service.Request.ratio
@@ -95,7 +100,7 @@ let decode_errors () =
   reject {|{"req": "frobnicate"}|};
   (* protocol ids resolve like on the dmfstream command line *)
   match Service.Request.of_line {|{"req": "prepare", "ratio": "pcr16", "D": 4}|} with
-  | Ok { Service.Request.kind = Prepare spec; _ } ->
+  | Ok { Service.Request.kind = Prepare { spec; _ }; _ } ->
     Alcotest.(check bool) "pcr16 resolves" true
       (Dmf.Ratio.equal spec.Service.Request.ratio pcr16)
   | Ok _ | Error _ -> Alcotest.fail "protocol-id ratio rejected"
@@ -113,12 +118,15 @@ let spec_for ?(demand = 4) () =
     storage_limit = None;
   }
 
+let submit_spec queue spec =
+  Service.Queue.submit queue ~key:(Service.Request.coalesce_key spec) spec
+
 let coalescing () =
   let k = 5 in
   let queue = Service.Queue.create ~capacity:8 () in
   let tickets =
     List.init k (fun _ ->
-        match Service.Queue.submit queue (spec_for ()) with
+        match submit_spec queue (spec_for ()) with
         | Ok ticket -> ticket
         | Error msg -> Alcotest.failf "submit rejected: %s" msg)
   in
@@ -137,7 +145,7 @@ let coalescing () =
   Alcotest.(check int) "summed demand" (k * 4) spec.Service.Request.demand;
   (* A request arriving after the take starts a fresh job. *)
   let late =
-    match Service.Queue.submit queue (spec_for ()) with
+    match submit_spec queue (spec_for ()) with
     | Ok t -> t
     | Error msg -> Alcotest.failf "late submit rejected: %s" msg
   in
@@ -208,7 +216,7 @@ let demand_cap_merge () =
   let queue = Service.Queue.create ~capacity:8 () in
   let big = Service.Validate.max_demand - 2 in
   let submit d =
-    match Service.Queue.submit queue (spec_for ~demand:d ()) with
+    match submit_spec queue (spec_for ~demand:d ()) with
     | Ok t -> t
     | Error msg -> Alcotest.failf "submit rejected: %s" msg
   in
@@ -327,6 +335,39 @@ let round_trip server requests =
   Thread.join server_thread;
   close_in_noerr client_ic;
   responses
+
+(* A journal hook that raises (a WAL whose fsync failed) turns into an
+   error answer for the request, never a hang or a dead connection. *)
+let failing_hooks_answer_errors () =
+  let eio = Unix.Unix_error (Unix.EIO, "fsync", "") in
+  let prepare = {|{"req": "prepare", "ratio": "3:1", "D": 4, "id": 1}|} in
+  let ping = {|{"req": "ping", "id": 2}|} in
+  let answers server =
+    let responses = round_trip server [ prepare; ping ] in
+    Service.Server.stop server;
+    responses
+  in
+  let error json =
+    Option.bind (Service.Jsonl.member "error" json) Service.Jsonl.to_str
+  in
+  (match answers (Service.Server.create ~workers:1 ~on_accept:(fun _ -> raise eio) ()) with
+  | [ refused; pong ] ->
+    Alcotest.(check (option string)) "refused at admission"
+      (Some ("request not admitted: " ^ Printexc.to_string eio))
+      (error refused);
+    Alcotest.(check bool) "the connection still serves" true (getb pong "ok")
+  | _ -> Alcotest.fail "expected two answers");
+  match
+    answers
+      (Service.Server.create ~workers:1
+         ~on_complete:(fun ~spec:_ ~requests:_ ~ok:_ -> raise eio)
+         ())
+  with
+  | [ failed; pong ] ->
+    Alcotest.(check (option string)) "failed at completion"
+      (Some (Printexc.to_string eio)) (error failed);
+    Alcotest.(check bool) "the connection still serves" true (getb pong "ok")
+  | _ -> Alcotest.fail "expected two answers"
 
 let stdio_smoke () =
   let server = Service.Server.create ~workers:1 ~cache_capacity:16 () in
@@ -529,7 +570,7 @@ let kill9_recovery () =
         List.iter
           (fun line ->
             match Service.Request.of_line line with
-            | Ok { Service.Request.kind = Prepare spec; _ } ->
+            | Ok { Service.Request.kind = Prepare { spec; _ }; _ } ->
               let key = Service.Request.cache_key spec in
               Alcotest.(check bool)
                 (Printf.sprintf "answered plan %s recovered" key)
@@ -933,6 +974,8 @@ let () =
       ( "server",
         [
           Alcotest.test_case "stdio end-to-end smoke" `Quick stdio_smoke;
+          Alcotest.test_case "a failing journal hook answers an error" `Quick
+            failing_hooks_answer_errors;
           Alcotest.test_case "back-to-back TCP connections all answered"
             `Quick tcp_reconnect_storm;
           Alcotest.test_case "accepted sockets have TCP_NODELAY" `Quick
