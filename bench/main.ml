@@ -20,20 +20,19 @@
    processes and so must precede anything that spawns domains; keep it
    first when selecting subsets that include it.)
 
-   Every run additionally writes BENCH_PR10.json — per-experiment wall
+   Every run additionally writes a JSON record — per-experiment wall
    times, Bechamel ns/run, service req/s with p50/p95/p99 request
    latencies, cluster req/s vs shard count through dmfrouter (cold and
    warm, with the exact-coalescing flag and the 4-shard warm speedup),
    WAL fsync-batch throughput (same percentiles), the group-commit
    sweep (concurrent strict committers vs the serialized PR 5
    discipline), follower replication lag, the cold-vs-warm
-   plan-store sweep, domain/core counts and corpus sizes — so
-   successive PRs accumulate a machine-readable performance
-   trajectory.  The same JSON is copied to
-   bench_results/bench-<timestamp>.json plus the stable alias
-   bench_results/bench-latest.json (both untracked).  Everything printed
-   is also teed into bench_output.txt (untracked) for local
-   inspection. *)
+   plan-store sweep, domain/core counts and corpus sizes — to
+   bench_results/bench-<timestamp>.json and to the stable alias
+   bench_results/bench-latest.json, both untracked; CI's gates read the
+   alias.  The tracked BENCH_PR*.json files are history and no run
+   rewrites them.  Everything printed is also teed into bench_output.txt
+   (untracked) for local inspection. *)
 
 let pcr16 = Bioproto.Protocols.pcr ~d:4
 
@@ -66,7 +65,7 @@ let percentile p samples =
     arr.(max 0 (min (n - 1) (rank - 1)))
 
 (* ------------------------------------------------------------------ *)
-(* BENCH_PR6.json accumulators                                         *)
+(* Benchmark JSON accumulators                                        *)
 
 let wall_times : (string * float) list ref = ref []
 let micro_ns : (string * float) list ref = ref []
@@ -128,13 +127,12 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-let bench_json_path = "BENCH_PR10.json"
 let bench_results_dir = "bench_results"
 
 let write_bench_json () =
-  (* Resolve every value before [open_out]: a bad MDST_DOMAINS raises in
-     [default_domains], and truncating the previous trajectory file
-     before that would lose it. *)
+  (* Resolve every value before writing: a bad MDST_DOMAINS raises in
+     [default_domains], and must not leave a truncated bench-latest.json
+     behind. *)
   let domains = Mdst.Par.default_domains () in
   let experiments =
     List.rev_map
@@ -253,52 +251,50 @@ let write_bench_json () =
         specs cold_s warm_s warm_hits writes entries bytes
         (if warm_s > 0. then cold_s /. warm_s else 0.)
   in
-  let oc = open_out bench_json_path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"pr\": 10,\n\
-    \  \"bench\": \"dmfstream\",\n\
-    \  \"domains\": %d,\n\
-    \  \"cores\": %d,\n\
-    \  \"full_corpus\": %b,\n\
-    \  \"corpus_size\": {\"table3\": %d, \"fig6\": %d, \"full\": %d},\n\
-    \  \"experiments\": [\n    %s\n  ],\n\
-    \  \"scheduler_core\": [\n    %s\n  ],\n\
-    \  \"service\": [\n    %s\n  ],\n\
-    \  \"cluster\": {\n\
-    \    \"client_connections\": 8,\n\
-    \    \"coalescing_exact\": %b,\n\
-    \    \"warm_speedup_4_shards\": %.3f,\n\
-    \    \"rows\": [\n      %s\n    ]\n\
-    \  },\n\
-    \  \"wal\": [\n    %s\n  ],\n\
-    \  \"group_commit\": [\n    %s\n  ],\n\
-    \  \"replication\": %s,\n\
-    \  \"plan_store\": %s,\n\
-    \  \"micro_ns_per_run\": [\n    %s\n  ]\n\
-     }\n"
-    domains
-    (Domain.recommended_domain_count ())
-    full_corpus
-    (List.length (corpus ~every:8))
-    (List.length (corpus ~every:40))
-    (List.length (Bioproto.Synth.corpus ~sum:32 ()))
-    (String.concat ",\n    " experiments)
-    (String.concat ",\n    " scheduler_core)
-    (String.concat ",\n    " service)
-    !cluster_plans_exact cluster_speedup
-    (String.concat ",\n      " cluster_rows)
-    (String.concat ",\n    " wal)
-    (String.concat ",\n    " group_commit)
-    replication_json
-    plan_store_json
-    (String.concat ",\n    " micro);
-  close_out oc;
-  (* Keep the trajectory under bench_results/ too: one timestamped copy
-     per run plus a stable bench-latest.json alias for tooling.  The
-     stamped name is not printed, so bench_output.txt stays
-     deterministic across runs. *)
-  let contents = In_channel.with_open_bin bench_json_path In_channel.input_all in
+  let contents =
+    Printf.sprintf
+      "{\n\
+      \  \"pr\": 10,\n\
+      \  \"bench\": \"dmfstream\",\n\
+      \  \"domains\": %d,\n\
+      \  \"cores\": %d,\n\
+      \  \"full_corpus\": %b,\n\
+      \  \"corpus_size\": {\"table3\": %d, \"fig6\": %d, \"full\": %d},\n\
+      \  \"experiments\": [\n    %s\n  ],\n\
+      \  \"scheduler_core\": [\n    %s\n  ],\n\
+      \  \"service\": [\n    %s\n  ],\n\
+      \  \"cluster\": {\n\
+      \    \"client_connections\": 8,\n\
+      \    \"coalescing_exact\": %b,\n\
+      \    \"warm_speedup_4_shards\": %.3f,\n\
+      \    \"rows\": [\n      %s\n    ]\n\
+      \  },\n\
+      \  \"wal\": [\n    %s\n  ],\n\
+      \  \"group_commit\": [\n    %s\n  ],\n\
+      \  \"replication\": %s,\n\
+      \  \"plan_store\": %s,\n\
+      \  \"micro_ns_per_run\": [\n    %s\n  ]\n\
+       }\n"
+      domains
+      (Domain.recommended_domain_count ())
+      full_corpus
+      (List.length (corpus ~every:8))
+      (List.length (corpus ~every:40))
+      (List.length (Bioproto.Synth.corpus ~sum:32 ()))
+      (String.concat ",\n    " experiments)
+      (String.concat ",\n    " scheduler_core)
+      (String.concat ",\n    " service)
+      !cluster_plans_exact cluster_speedup
+      (String.concat ",\n      " cluster_rows)
+      (String.concat ",\n    " wal)
+      (String.concat ",\n    " group_commit)
+      replication_json
+      plan_store_json
+      (String.concat ",\n    " micro)
+  in
+  (* One timestamped copy per run plus a stable bench-latest.json alias
+     for tooling.  The stamped name is not printed, so bench_output.txt
+     stays deterministic across runs. *)
   (try Unix.mkdir bench_results_dir 0o755
    with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let tm = Unix.localtime (Unix.gettimeofday ()) in
@@ -313,8 +309,7 @@ let write_bench_json () =
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc contents))
     [ stamped; Filename.concat bench_results_dir "bench-latest.json" ];
-  Printf.printf "\nwrote %s (+ %s/bench-latest.json)\n" bench_json_path
-    bench_results_dir
+  Printf.printf "\nwrote %s/bench-latest.json\n" bench_results_dir
 
 (* ------------------------------------------------------------------ *)
 (* Figure 1 / 2: mixing-forest construction for the PCR master-mix     *)

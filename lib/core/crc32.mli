@@ -1,10 +1,11 @@
 (** CRC-32 (the IEEE 802.3 polynomial, reflected: 0xEDB88320) over
-    bytes — the per-record integrity check of the write-ahead log.
+    bytes — the per-record integrity check of the write-ahead log, the
+    snapshots and the plan store.
 
     A torn write (the process or the machine died mid-[write]) leaves a
     record whose bytes parse as a prefix of valid JSON or not at all;
     either way the stored checksum no longer matches the recomputed one
-    and {!Replay} truncates the journal there.  The well-known check
+    and {!Durable.Replay} truncates the journal there.  The well-known check
     value is [string "123456789" = 0xCBF43926]. *)
 
 val string : string -> int

@@ -14,29 +14,9 @@ type result = {
   metrics : Metrics.t;
 }
 
-(* Recomputed for every scheme evaluation of a corpus sweep, so the Mlb
-   count is memoised per ratio (the MM tree itself comes from the
-   Algorithm cache).  Mutex-guarded for Par's domains. *)
-let mixers_cache : (string, int) Hashtbl.t = Hashtbl.create 256
-let mixers_cache_lock = Mutex.create ()
-
 let default_mixers ratio =
-  let key = Dmf.Ratio.key ratio in
-  Mutex.lock mixers_cache_lock;
-  let cached = Hashtbl.find_opt mixers_cache key in
-  Mutex.unlock mixers_cache_lock;
-  match cached with
-  | Some m -> m
-  | None ->
-    let m =
-      Mixtree.Hu.min_mixers_for_fastest
-        (Mixtree.Algorithm.build Mixtree.Algorithm.MM ratio)
-    in
-    Mutex.lock mixers_cache_lock;
-    if Hashtbl.length mixers_cache >= 4096 then Hashtbl.reset mixers_cache;
-    Hashtbl.replace mixers_cache key m;
-    Mutex.unlock mixers_cache_lock;
-    m
+  Mixtree.Hu.min_mixers_for_fastest
+    (Mixtree.Algorithm.build Mixtree.Algorithm.MM ratio)
 
 let scheme_name algorithm scheduler =
   Mixtree.Algorithm.name algorithm ^ "+" ^ Scheduler.name scheduler

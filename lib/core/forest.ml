@@ -1,13 +1,3 @@
-(* Base tree annotated with the exact droplet value of every subtree. *)
-type ann = { value : Dmf.Mixture.t; shape : shape }
-and shape = Aleaf of Dmf.Fluid.t | Amix of ann * ann
-
-let rec annotate ~n = function
-  | Mixtree.Tree.Leaf f -> { value = Dmf.Mixture.pure ~n f; shape = Aleaf f }
-  | Mixtree.Tree.Mix (a, b) ->
-    let a = annotate ~n a and b = annotate ~n b in
-    { value = Dmf.Mixture.mix a.value b.value; shape = Amix (a, b) }
-
 (* Local mirror of one instantiated component tree, used to assign the
    paper's breadth-first [m_ij] labels after the tree is complete. *)
 type mirror = Mstop | Mnode of int * mirror * mirror
@@ -42,11 +32,12 @@ let pool_put builder value droplet =
    (a tree may feed itself); otherwise they become available only to
    later trees. *)
 let instantiate_tree builder ~sharing ~reuse ~tree_idx ~root_level root_ann =
+  let first = builder.count in
   let spares = ref [] in
-  let rec instantiate ~at_root ann level =
+  let rec instantiate ~at_root (ann : Mixtree.Tree.annotated) level =
     match ann.shape with
-    | Aleaf f -> (Plan.Input f, Mstop)
-    | Amix (a, b) -> (
+    | Pure f -> (Plan.Input f, Mstop)
+    | Mixed (a, b) -> (
       match
         if at_root || not reuse then None else pool_take builder ann.value
       with
@@ -85,27 +76,28 @@ let instantiate_tree builder ~sharing ~reuse ~tree_idx ~root_level root_ann =
   (* Commit this tree's spare droplets for use by later trees. *)
   if reuse && not sharing then
     List.iter (fun (value, droplet) -> pool_put builder value droplet) !spares;
-  (* Assign the breadth-first m_ij labels of this component tree. *)
+  (* Assign the breadth-first m_ij labels of this component tree.  Its
+     nodes hold the ids [first, builder.count), at the head of [acc]. *)
+  let labels = Array.make (builder.count - first) 0 in
   let queue = Queue.create () in
   Queue.push mirror queue;
   let j = ref 0 in
-  let relabel = Hashtbl.create 16 in
   while not (Queue.is_empty queue) do
     match Queue.pop queue with
     | Mstop -> ()
     | Mnode (id, l, r) ->
       incr j;
-      Hashtbl.replace relabel id !j;
+      labels.(id - first) <- !j;
       Queue.push l queue;
       Queue.push r queue
   done;
-  builder.acc <-
-    List.map
-      (fun node ->
-        match Hashtbl.find_opt relabel node.Plan.id with
-        | Some bfs -> { node with Plan.bfs }
-        | None -> node)
-      builder.acc;
+  let rec relabel fresh = function
+    | node :: older when node.Plan.id >= first ->
+      relabel ({ node with Plan.bfs = labels.(node.Plan.id - first) } :: fresh)
+        older
+    | older -> List.rev_append fresh older
+  in
+  builder.acc <- relabel [] builder.acc;
   root_id
 
 let finish ?reserves builder ~ratio ~demand ~roots ~root_values =
@@ -122,7 +114,7 @@ let grow ?(reserves = [||]) ~ratio ~demand ~sharing ~reuse tree =
   | Error msg -> invalid_arg ("Forest: invalid base tree: " ^ msg));
   let n = Dmf.Ratio.n_fluids ratio in
   let d = Dmf.Ratio.accuracy ratio in
-  let root_ann = annotate ~n tree in
+  let root_ann = Mixtree.Tree.annotate ~n tree in
   let builder = new_builder () in
   (* Pre-existing stored droplets are available from the start. *)
   Array.iteri
@@ -143,42 +135,10 @@ let grow ?(reserves = [||]) ~ratio ~demand ~sharing ~reuse tree =
 let of_tree ?reserves ~ratio ~demand ~sharing tree =
   grow ?reserves ~ratio ~demand ~sharing ~reuse:true tree
 
-(* Plans are immutable once created, and [build]/[repeated] depend only on
-   (algorithm, ratio, demand) — but the streaming engine rebuilds the same
-   pass plan once per pass and the compare/baseline paths once per scheme,
-   so identical requests share one memoised plan.  Mutex-guarded for Par's
-   domains: a concurrent miss may construct twice, but the constructions
-   are deterministic and either result is valid.  [of_tree] with reserves
-   (error recovery) stays uncached — reserve tables vary per failure. *)
-let plan_cache : (string * string * int, Plan.t) Hashtbl.t =
-  Hashtbl.create 256
-
-let plan_cache_lock = Mutex.create ()
-let plan_cache_cap = 4096
-
-let memo_plan ~tag ~algorithm ~ratio ~demand construct =
-  let key = (tag ^ Mixtree.Algorithm.name algorithm, Dmf.Ratio.key ratio,
-             demand)
-  in
-  Mutex.lock plan_cache_lock;
-  let cached = Hashtbl.find_opt plan_cache key in
-  Mutex.unlock plan_cache_lock;
-  match cached with
-  | Some plan -> plan
-  | None ->
-    let plan = construct () in
-    Mutex.lock plan_cache_lock;
-    if Hashtbl.length plan_cache >= plan_cache_cap then
-      Hashtbl.reset plan_cache;
-    Hashtbl.replace plan_cache key plan;
-    Mutex.unlock plan_cache_lock;
-    plan
-
 let build ~algorithm ~ratio ~demand =
-  memo_plan ~tag:"F|" ~algorithm ~ratio ~demand (fun () ->
-      let tree = Mixtree.Algorithm.build algorithm ratio in
-      let sharing = Mixtree.Algorithm.intra_pass_sharing algorithm in
-      of_tree ~ratio ~demand ~sharing tree)
+  let tree = Mixtree.Algorithm.build algorithm ratio in
+  let sharing = Mixtree.Algorithm.intra_pass_sharing algorithm in
+  of_tree ~ratio ~demand ~sharing tree
 
 let build_multi ~algorithm requests =
   (match requests with
@@ -203,7 +163,7 @@ let build_multi ~algorithm requests =
       (match Mixtree.Tree.validate ~ratio tree with
       | Ok () -> ()
       | Error msg -> invalid_arg ("Forest.build_multi: " ^ msg));
-      let root_ann = annotate ~n tree in
+      let root_ann = Mixtree.Tree.annotate ~n tree in
       let d = Dmf.Ratio.accuracy ratio in
       for _ = 1 to Dmf.Binary.ceil_div demand 2 do
         incr tree_idx;
@@ -220,16 +180,12 @@ let build_multi ~algorithm requests =
     ~demand:!total_demand ~roots:!roots ~root_values:!root_values
 
 let repeated ~algorithm ~ratio ~demand =
-  memo_plan ~tag:"R|" ~algorithm ~ratio ~demand @@ fun () ->
   let tree = Mixtree.Algorithm.build algorithm ratio in
   if Mixtree.Algorithm.intra_pass_sharing algorithm then
     (* MTCS shares droplets within one pass; concatenate independent
-       shared passes by growing each pass separately. *)
-    let passes = Dmf.Binary.ceil_div demand 2 in
-    let plans =
-      List.init passes (fun _ ->
-          grow ~ratio ~demand:2 ~sharing:true ~reuse:true tree)
-    in
+       copies of one shared pass. *)
+    let pass = grow ~ratio ~demand:2 ~sharing:true ~reuse:true tree in
+    let plans = List.init (Dmf.Binary.ceil_div demand 2) (fun _ -> pass) in
     (* Merge the independent pass plans into one, shifting ids. *)
     let nodes = ref [] and roots = ref [] and offset = ref 0 in
     let tree_offset = ref 0 in

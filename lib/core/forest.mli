@@ -32,8 +32,8 @@ val build :
 (** [build ~algorithm ~ratio ~demand] constructs the base tree with
     [algorithm] and grows the forest, with intra-pass sharing iff the
     algorithm calls for it ({!Mixtree.Algorithm.intra_pass_sharing}).
-    Memoised on [(algorithm, parts ratio, demand)]: repeated requests
-    return the shared immutable plan; safe under concurrent domains. *)
+    Nothing is kept between calls: the tree and the forest are built
+    afresh, the forest in time linear in its node count. *)
 
 val build_multi :
   algorithm:Mixtree.Algorithm.t ->
@@ -53,5 +53,5 @@ val repeated :
 (** [repeated ~algorithm ~ratio ~demand] is the no-reuse plan of the
     repeated baselines (RMM / RRMA / RMTCS): [ceil (demand / 2)]
     independent passes of the base tree, every spare droplet wasted
-    (shared within a pass for MTCS, never across passes).  Memoised like
-    {!build}. *)
+    (shared within a pass for MTCS, never across passes).  Built afresh
+    on every call, like {!build}. *)

@@ -134,8 +134,11 @@ let source_value p = function
 
 let validate p =
   let ( let* ) r f = Result.bind r f in
+  (* A message is formatted only when its check fails: validation runs
+     on every plan built or decoded, and almost every check passes. *)
   let check cond fmt =
-    Format.kasprintf (fun s -> if cond then Ok () else Error s) fmt
+    if cond then Format.ikfprintf (fun _ -> Ok ()) Format.str_formatter fmt
+    else Format.kasprintf (fun s -> Error s) fmt
   in
   let rec each f = function
     | [] -> Ok ()
@@ -180,9 +183,8 @@ let validate p =
         in
         check
           (Dmf.Mixture.equal expect n.value)
-          "node %d: recorded value %s, recomputed %s" n.id
-          (Dmf.Mixture.to_string n.value)
-          (Dmf.Mixture.to_string expect))
+          "node %d: recorded value %a, recomputed %a" n.id Dmf.Mixture.pp
+          n.value Dmf.Mixture.pp expect)
       (nodes p)
   in
   (* Every droplet consumed at most once, and consumer links match. *)
@@ -237,15 +239,16 @@ let validate p =
         let r = p.roots.(i) in
         check
           (Dmf.Mixture.equal p.nodes.(r).value p.root_values.(i))
-          "root %d value %s differs from target %s" r
-          (Dmf.Mixture.to_string p.nodes.(r).value)
-          (Dmf.Mixture.to_string p.root_values.(i)))
+          "root %d value %a differs from target %a" r Dmf.Mixture.pp
+          p.nodes.(r).value Dmf.Mixture.pp p.root_values.(i))
       (List.init (Array.length p.roots) Fun.id)
   in
+  let inputs = input_total p and used = consumed_reserves p in
+  let targets = targets p and waste = waste p in
   check
-    (input_total p + consumed_reserves p = targets p + waste p)
+    (inputs + used = targets + waste)
     "droplet conservation violated: I=%d, reserves used=%d, targets=%d, W=%d"
-    (input_total p) (consumed_reserves p) (targets p) (waste p)
+    inputs used targets waste
 
 let create_multi ?(reserves = [||]) ~ratio ~demand ~nodes ~roots ~root_values
     () =

@@ -17,7 +17,7 @@
 
     Format: little-endian fixed-width integers, length-prefixed strings
     and arrays, one leading tag byte per value kind, all wrapped by the
-    store in a CRC-guarded frame ({!Durable.Crc32}).  Any change to
+    store in a CRC-guarded frame ({!Crc32}).  Any change to
     these bytes must bump {!version} — the pinned golden vectors in
     [test/test_plan_store.ml] exist to make silent drift impossible. *)
 

@@ -87,11 +87,6 @@ let compare a b =
     go 0
   | c -> c
 
-let hash r = Hashtbl.hash r.parts
-
-let key r =
-  String.concat ":" (Array.to_list (Array.map string_of_int r.parts))
-
 (* Largest-remainder rounding of [ideal.(i)] values to non-negative
    integers that sum to [total], with a floor of one part per fluid. *)
 let round_to_sum ~total ideal =

@@ -49,14 +49,6 @@ val compare : t -> t -> int
 (** Total order on the parts (length first, then lexicographic); names
     are ignored, consistently with {!equal}. *)
 
-val hash : t -> int
-(** Structural hash of the parts, consistent with {!equal} — ratios can
-    key [Hashtbl] tables (memo caches of trees and plans). *)
-
-val key : t -> string
-(** Canonical cache key, ["a1:a2:...:aN"] — equal ratios have equal keys
-    regardless of fluid names. *)
-
 val rescale : t -> d:int -> t
 (** [rescale r ~d] re-approximates [r] on the scale [2^d] (see
     {!approximate}).  Useful to study the same protocol at several accuracy
@@ -77,6 +69,7 @@ val approximation_error : t -> float array -> float
     one (Section 2.1). *)
 
 val to_string : t -> string
-(** Colon-separated rendering, e.g. ["2:1:1:1:1:1:9"]. *)
+(** Colon-separated rendering of the parts, e.g. ["2:1:1:1:1:1:9"].
+    Fluid names are left out, so equal ratios render equally. *)
 
 val pp : Format.formatter -> t -> unit

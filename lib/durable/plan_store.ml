@@ -168,7 +168,7 @@ let encode_entry ~spec_key ~payload =
   Wire.bytes b spec_key;
   Wire.bytes b payload;
   let body = Wire.contents b in
-  let crc = Crc32.string body in
+  let crc = Mdst.Crc32.string body in
   let f = Wire.writer () in
   Wire.u32 f crc;
   magic ^ body ^ Wire.contents f
@@ -184,7 +184,7 @@ let decode_entry image =
       let r = Wire.reader (String.sub image (n - 4) 4) in
       Wire.r_u32 r
     in
-    if Crc32.string body <> stored_crc then Error "CRC mismatch"
+    if Mdst.Crc32.string body <> stored_crc then Error "CRC mismatch"
     else
       match
         let r = Wire.reader body in

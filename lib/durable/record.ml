@@ -25,7 +25,9 @@ let fields ~seq kind =
 
 let encode ~seq kind =
   let body = fields ~seq kind in
-  let crc = Crc32.string (Service.Jsonl.to_string (Service.Jsonl.Obj body)) in
+  let crc =
+    Mdst.Crc32.string (Service.Jsonl.to_string (Service.Jsonl.Obj body))
+  in
   Service.Jsonl.to_string
     (Service.Jsonl.Obj (body @ [ ("crc", Service.Jsonl.Int crc) ]))
 
@@ -59,7 +61,7 @@ let decode line =
   let* stored_crc = int_field "crc" json in
   let body = List.filter (fun (k, _) -> k <> "crc") kvs in
   let computed =
-    Crc32.string (Service.Jsonl.to_string (Service.Jsonl.Obj body))
+    Mdst.Crc32.string (Service.Jsonl.to_string (Service.Jsonl.Obj body))
   in
   if computed <> stored_crc then
     Error

@@ -16,7 +16,7 @@
 
     On the wire a record is one JSON object on one NDJSON line:
     [{"seq": n, "rec": "accepted"|"completed", "spec": {...}, ..., "crc": c}]
-    where [c] is the {!Crc32} of the record's canonical encoding
+    where [c] is the {!Mdst.Crc32} of the record's canonical encoding
     without the [crc] field.  The {!Service.Jsonl} codec prints
     deterministically (key order preserved, floats round-trip), which
     is what makes checksum-over-reencoding sound. *)

@@ -46,7 +46,9 @@ let write_all fd s =
 let write ~dir ~seq state =
   Wal.ensure_dir dir;
   let body = body_json ~seq state in
-  let crc = Crc32.string (Service.Jsonl.to_string (Service.Jsonl.Obj body)) in
+  let crc =
+    Mdst.Crc32.string (Service.Jsonl.to_string (Service.Jsonl.Obj body))
+  in
   let text =
     Service.Jsonl.to_string
       (Service.Jsonl.Obj (body @ [ ("crc", Service.Jsonl.Int crc) ]))
@@ -108,7 +110,7 @@ let load ~cache_capacity path =
   in
   let body = List.filter (fun (k, _) -> k <> "crc") kvs in
   let computed =
-    Crc32.string (Service.Jsonl.to_string (Service.Jsonl.Obj body))
+    Mdst.Crc32.string (Service.Jsonl.to_string (Service.Jsonl.Obj body))
   in
   if computed <> stored_crc then Error "snapshot crc mismatch"
   else

@@ -2,7 +2,7 @@ type t = MM | RMA | MTCS | RSM
 
 let all = [ MM; RMA; RSM; MTCS ]
 
-let construct = function
+let build = function
   | MM -> Minmix.build
   | RMA -> Rma.build
   | MTCS -> Mtcs.build
@@ -17,30 +17,6 @@ let name = function
   | RMA -> "RMA"
   | MTCS -> "MTCS"
   | RSM -> "RSM"
-
-(* Base trees are pure values and construction depends only on (algorithm,
-   ratio), so identical requests share one tree.  The compare and baseline
-   paths rebuild the same few trees thousands of times across a corpus
-   sweep; the mutex keeps the table safe under Par's domains (duplicate
-   misses may build twice, but the results are interchangeable). *)
-let cache : (string, Tree.t) Hashtbl.t = Hashtbl.create 256
-let cache_lock = Mutex.create ()
-let cache_cap = 8192
-
-let build algorithm ratio =
-  let key = name algorithm ^ "|" ^ Dmf.Ratio.key ratio in
-  Mutex.lock cache_lock;
-  let cached = Hashtbl.find_opt cache key in
-  Mutex.unlock cache_lock;
-  match cached with
-  | Some tree -> tree
-  | None ->
-    let tree = construct algorithm ratio in
-    Mutex.lock cache_lock;
-    if Hashtbl.length cache >= cache_cap then Hashtbl.reset cache;
-    Hashtbl.replace cache key tree;
-    Mutex.unlock cache_lock;
-    tree
 
 let of_string s =
   match String.uppercase_ascii (String.trim s) with

@@ -16,9 +16,8 @@ val all : t list
 
 val build : t -> Dmf.Ratio.t -> Tree.t
 (** [build algo r] is the base mixing tree of [algo] for [r].  The result
-    always satisfies [Tree.validate ~ratio:r].  Memoised on
-    [(algo, parts r)]: repeated requests return the shared immutable
-    tree; safe to call concurrently from several domains. *)
+    always satisfies [Tree.validate ~ratio:r].  Each call builds the tree
+    afresh; nothing is kept between calls. *)
 
 val intra_pass_sharing : t -> bool
 (** Whether a stand-alone pass of the algorithm shares identical

@@ -15,16 +15,10 @@ let rec build_clustered entries k =
 
 let build r =
   let n = Dmf.Ratio.n_fluids r in
-  let candidates =
-    [ Minmix.build r; build_clustered (Entry.of_ratio r) (Dmf.Ratio.accuracy r) ]
-  in
   let cost t =
     let stats = Sharing.pass_stats ~n t in
     (stats.Sharing.mixes, Array.fold_left ( + ) 0 stats.Sharing.inputs)
   in
-  match candidates with
-  | [] -> assert false
-  | first :: rest ->
-    List.fold_left
-      (fun best t -> if cost t < cost best then t else best)
-      first rest
+  let minmix = Minmix.build r in
+  let clustered = build_clustered (Entry.of_ratio r) (Dmf.Ratio.accuracy r) in
+  if cost clustered < cost minmix then clustered else minmix

@@ -8,36 +8,30 @@ type recipe = {
 }
 
 (* Record one construction recipe per distinct droplet value, keeping the
-   shallowest subtree realising it.  Droplets of equal value are
-   interchangeable, so any recipe is valid; choosing the minimum depth
-   makes the recipe graph acyclic: an edge always points to a value whose
-   chosen depth is strictly smaller. *)
+   shallowest subtree realising it (the first in pre-order among equally
+   shallow ones).  Droplets of equal value are interchangeable, so any
+   recipe is valid; choosing the minimum depth makes the recipe graph
+   acyclic: an edge always points to a value whose chosen depth is
+   strictly smaller. *)
 let collect_recipes ~n tree =
-  let recipes = ref Dmf.Mixture.Map.empty in
-  let rec walk t =
-    let v = Tree.value ~n t in
-    let depth = Tree.depth t in
-    let candidate =
-      match t with
-      | Tree.Leaf f -> { depth; children = None; fluid = Some f }
-      | Tree.Mix (a, b) ->
-        { depth; children = Some (Tree.value ~n a, Tree.value ~n b); fluid = None }
+  let rec record recipes (t : Tree.annotated) =
+    let recipes =
+      match Dmf.Mixture.Map.find_opt t.value recipes with
+      | Some existing when existing.depth <= t.depth -> recipes
+      | Some _ | None ->
+        let children, fluid =
+          match t.shape with
+          | Pure f -> (None, Some f)
+          | Mixed (a, b) -> (Some (a.value, b.value), None)
+        in
+        Dmf.Mixture.Map.add t.value { depth = t.depth; children; fluid } recipes
     in
-    let keep =
-      match Dmf.Mixture.Map.find_opt v !recipes with
-      | None -> true
-      | Some existing -> depth < existing.depth
-    in
-    if keep then recipes := Dmf.Mixture.Map.add v candidate !recipes;
-    (match t with
-    | Tree.Leaf _ -> ()
-    | Tree.Mix (a, b) ->
-      ignore (walk a);
-      ignore (walk b));
-    v
+    match t.shape with
+    | Pure _ -> recipes
+    | Mixed (a, b) -> record (record recipes a) b
   in
-  let root = walk tree in
-  (root, !recipes)
+  let root = Tree.annotate ~n tree in
+  (root.value, record Dmf.Mixture.Map.empty root)
 
 let demand_stats ~n ~demand tree =
   if demand < 1 then invalid_arg "Sharing.demand_stats: demand must be >= 1";

@@ -34,6 +34,19 @@ let rec value ~n = function
   | Leaf f -> Dmf.Mixture.pure ~n f
   | Mix (a, b) -> Dmf.Mixture.mix (value ~n a) (value ~n b)
 
+type annotated = { value : Dmf.Mixture.t; depth : int; shape : shape }
+and shape = Pure of Dmf.Fluid.t | Mixed of annotated * annotated
+
+let rec annotate ~n = function
+  | Leaf f -> { value = Dmf.Mixture.pure ~n f; depth = 0; shape = Pure f }
+  | Mix (a, b) ->
+    let a = annotate ~n a and b = annotate ~n b in
+    {
+      value = Dmf.Mixture.mix a.value b.value;
+      depth = 1 + max a.depth b.depth;
+      shape = Mixed (a, b);
+    }
+
 let validate ~ratio t =
   let n = Dmf.Ratio.n_fluids ratio in
   let d = Dmf.Ratio.accuracy ratio in

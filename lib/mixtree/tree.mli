@@ -39,6 +39,15 @@ val value : n:int -> t -> Dmf.Mixture.t
 (** [value ~n t] is the exact mixture value of the droplets emitted at the
     root of [t]. *)
 
+(** A tree whose every subtree carries its {!value} and {!depth}. *)
+type annotated = { value : Dmf.Mixture.t; depth : int; shape : shape }
+
+and shape = Pure of Dmf.Fluid.t | Mixed of annotated * annotated
+
+val annotate : n:int -> t -> annotated
+(** [annotate ~n t] computes the value and depth of every subtree of [t]
+    in one bottom-up pass, in time linear in the size of [t]. *)
+
 val validate : ratio:Dmf.Ratio.t -> t -> (unit, string) result
 (** [validate ~ratio t] checks that [t] realises [ratio]: the root value
     equals the target and the depth does not exceed the accuracy level. *)

@@ -1,14 +1,13 @@
 (** Bounded LRU plan cache.
 
-    The memo tables inside {!Mdst.Forest} and {!Mdst.Engine} are
-    unbounded reset-on-overflow tables keyed by ratio; a long-running
-    server needs real eviction and observable counters instead.  Keys
-    are the canonical request strings of {!Request.cache_key}; values
-    are whatever the owner reuses (prepared plans in the server — each
-    with its answer bytes already encoded, see {!Prep.prepared} — and
-    specs in the durable recency model, which evicts through this same
-    code).  All operations are mutex-guarded and safe across
-    domains. *)
+    The engine keeps no memo of its own, so this cache (with the plan
+    store behind it) is the one place a plan is kept for reuse, with
+    real eviction and observable counters.  Keys are the canonical
+    request strings of {!Request.cache_key}; values are whatever the
+    owner reuses (prepared plans in the server — each with its answer
+    bytes already encoded, see {!Prep.prepared} — and specs in the
+    durable recency model, which evicts through this same code).  All
+    operations are mutex-guarded and safe across domains. *)
 
 type 'v t
 

@@ -26,7 +26,7 @@ let run (spec : Request.spec) =
           demand = spec.Request.demand;
           algorithm = spec.Request.algorithm;
           scheduler = spec.Request.scheduler;
-          mixers = spec.Request.mixers;
+          mixers = Some mixers;
         }
     in
     make

@@ -44,13 +44,13 @@ let spec_pool =
 (* CRC-32                                                              *)
 
 let crc32_known () =
-  Alcotest.(check int) "empty" 0 (Durable.Crc32.string "");
+  Alcotest.(check int) "empty" 0 (Mdst.Crc32.string "");
   Alcotest.(check int) "check value" 0xCBF43926
-    (Durable.Crc32.string "123456789");
+    (Mdst.Crc32.string "123456789");
   Alcotest.(check int) "fox" 0x414FA339
-    (Durable.Crc32.string "The quick brown fox jumps over the lazy dog");
+    (Mdst.Crc32.string "The quick brown fox jumps over the lazy dog");
   Alcotest.(check int) "sub agrees with string" 0xCBF43926
-    (Durable.Crc32.sub "xx123456789yy" ~pos:2 ~len:9)
+    (Mdst.Crc32.sub "xx123456789yy" ~pos:2 ~len:9)
 
 (* ------------------------------------------------------------------ *)
 (* Record codec                                                        *)

@@ -76,11 +76,11 @@ let golden_pcr16 () =
       r.Mdst.Engine.schedule
   in
   Alcotest.(check int) "plan length" 3271 (String.length pb);
-  Alcotest.(check int) "plan crc" 0x99360740 (Durable.Crc32.string pb);
+  Alcotest.(check int) "plan crc" 0x99360740 (Mdst.Crc32.string pb);
   Alcotest.(check string) "plan hash" "a6ead5fc533b3edb37bf9592a42b748a"
     (Mdst.Plan_codec.hash_hex pb);
   Alcotest.(check int) "schedule length" 226 (String.length sb);
-  Alcotest.(check int) "schedule crc" 0x19E1015B (Durable.Crc32.string sb)
+  Alcotest.(check int) "schedule crc" 0x19E1015B (Mdst.Crc32.string sb)
 
 let golden_spec_key () =
   let spec = spec_of Generators.pcr16 in
@@ -215,6 +215,31 @@ let decode_rejects_flips =
       match Mdst.Plan_codec.decode_plan flipped with
       | Error _ -> true
       | Ok plan -> String.equal flipped (Mdst.Plan_codec.encode_plan plan))
+
+(* A body that is well formed in every byte but asks for more droplets
+   than its roots emit passes the codec's own checks and is refused by
+   the plan validation, with its text.  The D = 1 and D = 2 forests of
+   3:1 are one tree each, so their encodings differ in the demand
+   alone; that byte is raised to 3. *)
+let decode_keeps_error_text () =
+  let encode demand =
+    Mdst.Plan_codec.encode_plan
+      (Mdst.Forest.build ~algorithm:Mixtree.Algorithm.MM
+         ~ratio:(Dmf.Ratio.of_string "3:1") ~demand)
+  in
+  let one = encode 1 and two = encode 2 in
+  let differing =
+    List.filter
+      (fun i -> one.[i] <> two.[i])
+      (List.init (String.length two) Fun.id)
+  in
+  Alcotest.(check (list int)) "only the demand differs" [ 26 ] differing;
+  let bytes = Bytes.of_string two in
+  Bytes.set bytes 26 '\003';
+  Alcotest.(check (result reject string))
+    "demand 3 over one tree"
+    (Error "Plan.create: only 2 targets for demand 3")
+    (Result.map ignore (Mdst.Plan_codec.decode_plan (Bytes.to_string bytes)))
 
 (* ------------------------------------------------------------------ *)
 (* Differential: store-decoded = freshly planned                       *)
@@ -456,6 +481,8 @@ let () =
           Alcotest.test_case "recovery plan with reserves" `Quick
             roundtrip_reserves;
           decode_rejects_flips;
+          Alcotest.test_case "demand over targets keeps its text" `Quick
+            decode_keeps_error_text;
         ] );
       ( "differential",
         [

@@ -319,7 +319,7 @@ module Request = struct
 
   let coalesce_key spec =
     Printf.sprintf "%s|%s|%s|Mc=%s|q'=%s"
-      (Dmf.Ratio.key spec.ratio)
+      (Dmf.Ratio.to_string spec.ratio)
       (Mixtree.Algorithm.name spec.algorithm)
       (Mdst.Scheduler.name spec.scheduler)
       (match spec.mixers with Some m -> string_of_int m | None -> "auto")
